@@ -1,5 +1,5 @@
-// Bounded and unbounded thread-safe queues used between application threads
-// and kernel service threads in the ThreadedRuntime.
+// A thread-safe blocking queue. (The fabrics' receive queues are
+// net::Inbox, which adds the per-source gate for inline completion.)
 #pragma once
 
 #include <condition_variable>

@@ -128,7 +128,7 @@ Status ApplyReadData(gmm::GlobalAddr resp_addr, bool block_fetch,
                      const std::vector<std::uint8_t>& data,
                      const gmm::Chunk& c, std::uint8_t* dst) {
   if (block_fetch) {
-    // Block-widened reply: our range sits inside it. The service path has
+    // Block-widened reply: our range sits inside it. The response path has
     // already inserted the block into the cache.
     const std::uint64_t offset =
         gmm::OffsetOf(c.addr) - gmm::OffsetOf(resp_addr);
@@ -244,7 +244,7 @@ Status TaskClient::DispatchReads(const std::vector<ReadItem>& items,
       const ReadItem& it = items[idxs[0]];
       auto resp = Expect<proto::ReadResp>(std::move(env));
       if (!resp.ok()) return resp.status();
-      if (it.prefetch) return Status::Ok();  // cache-inserted on service path
+      if (it.prefetch) return Status::Ok();  // cache-inserted on response path
       return ApplyReadData(resp->addr, resp->block_fetch, resp->data, it.c,
                            dst);
     }

@@ -13,8 +13,12 @@
 // Actions (sends, local task starts, console lines, shutdown). Client
 // *responses* never reach the core — backends route them straight to the
 // blocked task — with one exception: block-fetch ReadResps pass through
-// CacheInsert() on the service path so cache updates stay ordered with
-// invalidations.
+// CacheInsert() before the task is woken. On the threaded and TCP runtimes
+// that may happen on the thread that received the response rather than on
+// the service loop; the endpoint's per-source gate (net/inbox.h) offers a
+// response there only once every earlier frame from the same home has been
+// handled, so a fill still lands after the invalidations that home sent
+// before it and before the ones it sends after.
 //
 // Observability: the core owns the node's MetricsRegistry. Backends count
 // per-type message traffic via CountSent/CountRecv and wire bytes via
@@ -235,10 +239,10 @@ class KernelCore {
   // round trip.
   Gpid RegisterLocalTask(const std::string& name);
 
-  // --- Client read cache (thread-safe; tasks and the service path race in
+  // --- Client read cache (thread-safe; tasks and the response path race in
   // the threaded runtime) -------------------------------------------------
 
-  // Service-path insert of a fetched block.
+  // Response-path insert of a fetched block.
   void CacheInsert(gmm::GlobalAddr block_base, std::vector<std::uint8_t> data);
   // Task-path lookup; fills [addr, addr+len) from a cached block if present.
   bool CacheLookup(gmm::GlobalAddr addr, std::uint64_t len, void* out);

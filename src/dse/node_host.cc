@@ -103,8 +103,8 @@ class HostRpc final : public RpcChannel {
           first_error = sent;
           break;
         }
-        // Otherwise the service path claimed the entry concurrently (e.g. a
-        // dead-node sweep); the waiter will be answered below.
+        // Otherwise another thread claimed the entry concurrently (a response
+        // or a dead-node sweep); the waiter will be answered below.
       }
       envs.push_back(std::move(env));
       dsts.push_back(dst);
@@ -302,6 +302,7 @@ NodeHost::NodeHost(net::Endpoint* endpoint, int num_nodes, Options options)
   rpc_timeouts_ = core_.metrics().counter("rpc.timeout");
   rpc_retries_ = core_.metrics().counter("rpc.retry");
   nodes_dead_ = core_.metrics().counter("node.dead");
+  inline_resps_ = core_.metrics().counter("rpc.inline_resp");
 }
 
 NodeHost::~NodeHost() {
@@ -311,6 +312,8 @@ NodeHost::~NodeHost() {
   }
   hb_cv_.notify_all();
   if (heartbeat_.joinable()) heartbeat_.join();
+  // Waits out a sink call in progress; none starts after this.
+  endpoint_->SetInlineSink(nullptr);
   endpoint_->Shutdown();
   if (service_.joinable()) service_.join();
   WaitTasksDrained();
@@ -332,6 +335,8 @@ void NodeHost::Start() {
   for (auto& stamp : last_heard_ms_) {
     stamp.store(now, std::memory_order_relaxed);
   }
+  endpoint_->SetInlineSink(
+      [this](const net::Delivery& d) { return CompleteInline(d); });
   service_ = std::thread([this] {
     ServiceLoop();
     // Nothing will answer a pending call once the service loop is gone;
@@ -643,7 +648,7 @@ Result<proto::Envelope> NodeHost::FailCall(std::uint64_t req_id,
                                            Waiter* waiter,
                                            const Status& error) {
   if (DropWaiter(req_id)) return error;
-  // The service path claimed the entry first: a response or failure is in
+  // Another thread claimed the entry first: a response or failure is in
   // flight to this waiter and must be consumed (the waiter is stack memory).
   return TakeOutcome(waiter);
 }
@@ -923,6 +928,74 @@ void NodeHost::StartTaskThread(KernelCore::StartTask st) {
   task_threads_.push_back(std::move(thread));
 }
 
+bool NodeHost::CompleteInline(const net::Delivery& delivery) {
+  if (!proto::IsClientResponseFrame(delivery.payload)) return false;
+  auto decoded = proto::Decode(delivery.payload);
+  if (!decoded.ok()) return false;
+  // A frame from a suspected peer may revoke the suspicion, which the
+  // service loop does.
+  const NodeId src = decoded->src_node;
+  if (src < 0 || src >= core_.num_nodes() ||
+      peer_dead_[static_cast<size_t>(src)].load(std::memory_order_relaxed)) {
+    return false;
+  }
+  Waiter* waiter = ClaimWaiter(decoded->req_id);
+  if (waiter == nullptr) return false;
+  NoteReceived(*decoded, delivery.payload.size());
+  inline_resps_->Add();
+  CompleteResponse(std::move(*decoded), waiter);
+  return true;
+}
+
+void NodeHost::NoteReceived(const proto::Envelope& env,
+                            std::uint64_t wire_bytes) {
+  core_.CountRecv(env.type());
+  core_.CountWireRecv(wire_bytes);
+  // Any frame proves its sender alive.
+  if (env.src_node >= 0 && env.src_node < core_.num_nodes()) {
+    last_heard_ms_[static_cast<size_t>(env.src_node)].store(
+        NowMs(), std::memory_order_relaxed);
+  }
+}
+
+NodeHost::Waiter* NodeHost::ClaimWaiter(std::uint64_t req_id) {
+  std::lock_guard<std::mutex> lock(pending_mu_);
+  const auto it = pending_.find(req_id);
+  if (it == pending_.end()) return nullptr;
+  Waiter* waiter = it->second.waiter;
+  pending_.erase(it);
+  return waiter;
+}
+
+void NodeHost::CompleteResponse(proto::Envelope env, Waiter* waiter) {
+  // Cache fills happen before the waiting task can observe the response,
+  // and after every earlier frame from the same home (the endpoint's
+  // per-source gate) — see kernel_core.h. A response stamped with an older
+  // membership epoch (served before a failover, or replayed from a shadow
+  // ledger after promotion) still answers the call, but its block is not
+  // cached: the promoted home's copyset does not track that copy, so no
+  // future write could ever invalidate it.
+  if (env.epoch == core_.epoch()) {
+    if (auto* rr = std::get_if<proto::ReadResp>(&env.body);
+        rr != nullptr && rr->block_fetch) {
+      core_.CacheInsert(rr->addr, rr->data);
+    } else if (auto* br = std::get_if<proto::BatchResp>(&env.body)) {
+      for (const proto::BatchItemResp& item : br->items) {
+        if (item.block_fetch) core_.CacheInsert(item.addr, item.data);
+      }
+    }
+  }
+  if (waiter == nullptr) {
+    // Expected under faults: the duplicate of a dup'd response, or an
+    // answer arriving after its call was failed (timeout/dead peer).
+    core_.metrics().counter("rpc.orphan_resp")->Add();
+    DSE_LOG(kDebug) << "node " << self() << ": orphan response req_id "
+                    << env.req_id;
+    return;
+  }
+  DeliverResponse(waiter, std::move(env));
+}
+
 void NodeHost::ServiceLoop() {
   while (auto delivery = endpoint_->Recv()) {
     auto decoded = proto::Decode(delivery->payload);
@@ -932,16 +1005,14 @@ void NodeHost::ServiceLoop() {
       continue;
     }
     proto::Envelope env = std::move(*decoded);
-    core_.CountRecv(env.type());
-    core_.CountWireRecv(delivery->payload.size());
+    NoteReceived(env, delivery->payload.size());
 
-    // Any frame proves its sender alive. With replication, it also revokes
-    // a suspicion of a peer that is still a member — a quorum-parked side
-    // of a partition resumes this way when the partition heals (a truly
-    // evicted node stays latched; it must rejoin through the coordinator).
+    // With replication, any frame also revokes a suspicion of a peer that
+    // is still a member — a quorum-parked side of a partition resumes this
+    // way when the partition heals (a truly evicted node stays latched; it
+    // must rejoin through the coordinator).
     if (env.src_node >= 0 && env.src_node < core_.num_nodes()) {
       const auto si = static_cast<size_t>(env.src_node);
-      last_heard_ms_[si].store(NowMs(), std::memory_order_relaxed);
       if (core_.replication_on() && env.src_node != self() &&
           peer_dead_[si].load(std::memory_order_relaxed) &&
           core_.NodeAlive(env.src_node)) {
@@ -1001,40 +1072,8 @@ void NodeHost::ServiceLoop() {
     }
 
     if (proto::IsClientResponse(env.type())) {
-      // Cache fills happen on this ordered path before the waiting task can
-      // observe the response — see kernel_core.h. A response stamped with an
-      // older membership epoch (served before a failover, or replayed from a
-      // shadow ledger after promotion) still answers the call, but its block
-      // is not cached: the promoted home's copyset does not track that copy,
-      // so no future write could ever invalidate it.
-      if (env.epoch == core_.epoch()) {
-        if (auto* rr = std::get_if<proto::ReadResp>(&env.body);
-            rr != nullptr && rr->block_fetch) {
-          core_.CacheInsert(rr->addr, rr->data);
-        } else if (auto* br = std::get_if<proto::BatchResp>(&env.body)) {
-          for (const proto::BatchItemResp& item : br->items) {
-            if (item.block_fetch) core_.CacheInsert(item.addr, item.data);
-          }
-        }
-      }
-      Waiter* waiter = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        const auto it = pending_.find(env.req_id);
-        if (it != pending_.end()) {
-          waiter = it->second.waiter;
-          pending_.erase(it);
-        }
-      }
-      if (waiter == nullptr) {
-        // Expected under faults: the duplicate of a dup'd response, or an
-        // answer arriving after its call was failed (timeout/dead peer).
-        core_.metrics().counter("rpc.orphan_resp")->Add();
-        DSE_LOG(kDebug) << "node " << self() << ": orphan response req_id "
-                        << env.req_id;
-        continue;
-      }
-      DeliverResponse(waiter, std::move(env));
+      Waiter* waiter = ClaimWaiter(env.req_id);
+      CompleteResponse(std::move(env), waiter);
       continue;
     }
 

@@ -148,7 +148,7 @@ class NodeHost {
   struct Waiter;
   std::uint64_t NextReqId();
   void RegisterWaiter(std::uint64_t req_id, Waiter* waiter, NodeId dst);
-  // Removes the pending entry. Returns false when the service path already
+  // Removes the pending entry. Returns false when another thread already
   // claimed it — the response (or failure) is being delivered and the caller
   // must consume it instead of abandoning the stack-allocated waiter.
   bool DropWaiter(std::uint64_t req_id);
@@ -180,6 +180,20 @@ class NodeHost {
   };
 
   void ServiceLoop();
+  // The endpoint's inline sink: completes a client response on the thread
+  // that received it when a call waits for it and its sender is not
+  // suspected. Declines every other frame, which then takes the service
+  // loop (requests, orphans and duplicates, frames from a suspected peer).
+  bool CompleteInline(const net::Delivery& delivery);
+  // Per-frame receive accounting, on whichever thread handles the frame:
+  // per-type and wire-byte counts, and the sender's last-heard stamp.
+  void NoteReceived(const proto::Envelope& env, std::uint64_t wire_bytes);
+  // Removes and returns the waiter of `req_id`; nullptr when none waits.
+  Waiter* ClaimWaiter(std::uint64_t req_id);
+  // The one handler of a client response, on the service loop or inline:
+  // fills the read cache (epoch-gated), then wakes `waiter` (claimed by the
+  // caller; nullptr counts an orphan).
+  void CompleteResponse(proto::Envelope env, Waiter* waiter);
   void Perform(KernelCore::Actions actions);
   void StartTaskThread(KernelCore::StartTask st);
 
@@ -254,10 +268,12 @@ class NodeHost {
   std::condition_variable hb_cv_;
   bool hb_stop_ = false;
 
-  // Pre-resolved failure counters (rpc.timeout / rpc.retry / node.dead).
+  // Pre-resolved counters (rpc.timeout / rpc.retry / node.dead /
+  // rpc.inline_resp).
   Counter* rpc_timeouts_ = nullptr;
   Counter* rpc_retries_ = nullptr;
   Counter* nodes_dead_ = nullptr;
+  Counter* inline_resps_ = nullptr;
 
   std::mutex tasks_mu_;
   std::condition_variable tasks_cv_;

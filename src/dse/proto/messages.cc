@@ -547,6 +547,11 @@ std::vector<std::uint8_t> Encode(const Envelope& env) {
   return w.TakeBuffer();
 }
 
+bool IsClientResponseFrame(const std::vector<std::uint8_t>& payload) {
+  return !payload.empty() &&
+         IsClientResponse(static_cast<MsgType>(payload.front()));
+}
+
 namespace {
 
 template <typename T>

@@ -457,4 +457,8 @@ std::vector<std::uint8_t> Encode(const Envelope& env);
 // Parses payload bytes (kProtocolError on malformed input).
 Result<Envelope> Decode(const std::vector<std::uint8_t>& payload);
 
+// True when encoded payload bytes carry a client response. Reads only the
+// leading type byte, so a receiver can route a frame without decoding it.
+bool IsClientResponseFrame(const std::vector<std::uint8_t>& payload);
+
 }  // namespace dse::proto

@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -35,6 +37,11 @@ struct WireCounts {
   std::uint64_t bytes_recv = 0;
 };
 
+// Receive-side fast path: offered an arriving frame on the thread that
+// received it; returns true when it consumed the frame, false to leave it to
+// Recv(). See Endpoint::SetInlineSink.
+using InlineSink = std::function<bool(const Delivery&)>;
+
 class Endpoint {
  public:
   virtual ~Endpoint() = default;
@@ -55,6 +62,16 @@ class Endpoint {
   // Unblocks all receivers on this endpoint permanently.
   virtual void Shutdown() = 0;
 
+  // Installs a sink that may consume arriving frames on the receiving thread
+  // (the sender's thread in-process, the peer's reader thread over TCP)
+  // instead of queueing them for Recv(). A frame is offered only while no
+  // earlier frame from its source is queued or still held by the Recv()
+  // caller, which must be a single thread. nullptr removes the sink; once
+  // that call returns the old sink is not running and never runs again.
+  // Frames a sink consumes count in wire_counts() like received ones. The
+  // default keeps every frame on the Recv() path.
+  virtual void SetInlineSink(InlineSink sink) { (void)sink; }
+
   WireCounts wire_counts() const {
     WireCounts w;
     w.msgs_sent = msgs_sent_.load(std::memory_order_relaxed);
@@ -73,6 +90,16 @@ class Endpoint {
   void NoteRecv(std::uint64_t bytes) {
     msgs_recv_.fetch_add(1, std::memory_order_relaxed);
     bytes_recv_.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  // Wraps `sink` so the frames it consumes count as received here, for
+  // implementations that pass a sink down to another layer.
+  InlineSink CountingSink(InlineSink sink) {
+    if (!sink) return nullptr;
+    return [this, sink = std::move(sink)](const Delivery& d) {
+      if (!sink(d)) return false;
+      NoteRecv(d.payload.size());
+      return true;
+    };
   }
 
  private:

@@ -441,4 +441,8 @@ std::optional<Delivery> FaultyEndpoint::TryRecv() {
   return d;
 }
 
+void FaultyEndpoint::SetInlineSink(InlineSink sink) {
+  inner_->SetInlineSink(CountingSink(std::move(sink)));
+}
+
 }  // namespace dse::net

@@ -240,9 +240,10 @@ class DelayLine {
 };
 
 // Endpoint decorator that applies a FaultInjector's verdicts on the send
-// path (receive passes through: faults happen "on the wire"). Frames the
-// `immune` predicate accepts bypass injection entirely — runtimes exempt
-// the Shutdown control message so teardown models an out-of-band channel.
+// path (receive passes through: faults happen "on the wire", so an inline
+// sink is forwarded to the inner endpoint too). Frames the `immune`
+// predicate accepts bypass injection entirely — runtimes exempt the
+// Shutdown control message so teardown models an out-of-band channel.
 class FaultyEndpoint final : public Endpoint {
  public:
   using ImmunePredicate =
@@ -257,6 +258,7 @@ class FaultyEndpoint final : public Endpoint {
   std::optional<Delivery> Recv() override;
   std::optional<Delivery> TryRecv() override;
   void Shutdown() override { inner_->Shutdown(); }
+  void SetInlineSink(InlineSink sink) override;
 
  private:
   Endpoint* inner_;

@@ -1,13 +1,14 @@
 #include "net/inproc.h"
 
 #include "common/check.h"
+#include "net/inbox.h"
 
 namespace dse::net {
 
 class InProcFabric::NodeEndpoint final : public Endpoint {
  public:
-  NodeEndpoint(InProcFabric* fabric, NodeId id)
-      : fabric_(fabric), id_(id) {}
+  NodeEndpoint(InProcFabric* fabric, NodeId id, int num_nodes)
+      : fabric_(fabric), id_(id), inbox_(num_nodes) {}
 
   NodeId self() const override { return id_; }
   int world_size() const override { return fabric_->size(); }
@@ -20,7 +21,9 @@ class InProcFabric::NodeEndpoint final : public Endpoint {
     Delivery d;
     d.src = id_;
     d.payload = std::move(payload);
-    if (!fabric_->endpoints_[static_cast<size_t>(dst)]->inbox_.Push(
+    // With a sink installed at `dst`, this thread may complete the frame
+    // there and then (see Inbox).
+    if (!fabric_->endpoints_[static_cast<size_t>(dst)]->inbox_.Deliver(
             std::move(d))) {
       return Unavailable("destination endpoint shut down");
     }
@@ -40,18 +43,22 @@ class InProcFabric::NodeEndpoint final : public Endpoint {
   }
   void Shutdown() override { inbox_.Close(); }
 
+  void SetInlineSink(InlineSink sink) override {
+    inbox_.SetSink(CountingSink(std::move(sink)));
+  }
+
  private:
   friend class InProcFabric;
   InProcFabric* fabric_;
   NodeId id_;
-  BlockingQueue<Delivery> inbox_;
+  Inbox inbox_;
 };
 
 InProcFabric::InProcFabric(int num_nodes) {
   DSE_CHECK(num_nodes > 0);
   endpoints_.reserve(static_cast<size_t>(num_nodes));
   for (int i = 0; i < num_nodes; ++i) {
-    endpoints_.push_back(std::make_unique<NodeEndpoint>(this, i));
+    endpoints_.push_back(std::make_unique<NodeEndpoint>(this, i, num_nodes));
   }
 }
 

@@ -8,7 +8,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/queue.h"
 #include "net/endpoint.h"
 
 namespace dse::net {

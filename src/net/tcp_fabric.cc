@@ -1,24 +1,30 @@
 #include "net/tcp_fabric.h"
 
+#include <algorithm>
 #include <atomic>
-#include <memory>
-
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <thread>
 
 #include "common/check.h"
 #include "common/log.h"
-#include "common/queue.h"
 #include "net/framing.h"
+#include "net/inbox.h"
 #include "osal/socket.h"
 
 namespace dse::net {
 
+namespace {
+constexpr int kMaxConnectPauseMs = 20;
+}  // namespace
+
 class TcpFabricEndpoint::Impl {
  public:
   Impl(NodeId self, std::vector<TcpNodeAddr> nodes)
-      : self_(self), nodes_(std::move(nodes)) {
+      : self_(self),
+        nodes_(std::move(nodes)),
+        inbox_(static_cast<int>(nodes_.size())) {
     peers_.reserve(nodes_.size());
     for (size_t i = 0; i < nodes_.size(); ++i) {
       peers_.push_back(std::make_unique<Peer>());
@@ -34,10 +40,13 @@ class TcpFabricEndpoint::Impl {
     if (!listener.ok()) return listener.status();
 
     // Initiate to lower-numbered peers (with retry — they may still be
-    // binding their listeners).
+    // binding their listeners). The retry pause starts at 1 ms and doubles
+    // up to 20 ms, so a peer that comes up a moment late costs about a
+    // millisecond, not a full 20 ms sleep.
     for (NodeId j = 0; j < self_; ++j) {
       const auto deadline = std::chrono::steady_clock::now() +
                             std::chrono::milliseconds(timeout_ms);
+      int pause_ms = 1;
       for (;;) {
         auto sock = osal::TcpSocket::Connect(nodes_[static_cast<size_t>(j)].host,
                                              nodes_[static_cast<size_t>(j)].port);
@@ -53,7 +62,8 @@ class TcpFabricEndpoint::Impl {
           return Unavailable("rendezvous with node " + std::to_string(j) +
                              " timed out: " + sock.status().ToString());
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        std::this_thread::sleep_for(std::chrono::milliseconds(pause_ms));
+        pause_ms = std::min(2 * pause_ms, kMaxConnectPauseMs);
       }
     }
 
@@ -98,7 +108,9 @@ class TcpFabricEndpoint::Impl {
       Delivery d;
       d.src = self_;
       d.payload = std::move(payload);
-      if (!inbox_.Push(std::move(d))) return Unavailable("endpoint shut down");
+      if (!inbox_.Deliver(std::move(d))) {
+        return Unavailable("endpoint shut down");
+      }
       return Status::Ok();
     }
     Peer& peer = *peers_[static_cast<size_t>(dst)];
@@ -125,6 +137,7 @@ class TcpFabricEndpoint::Impl {
 
   std::optional<Delivery> Recv() { return inbox_.Pop(); }
   std::optional<Delivery> TryRecv() { return inbox_.TryPop(); }
+  void SetSink(InlineSink sink) { inbox_.SetSink(std::move(sink)); }
 
   void Shutdown() { ShutdownInternal(); }
 
@@ -152,7 +165,7 @@ class TcpFabricEndpoint::Impl {
     FrameDecoder& dec = peer.dec;
     // Frames pipelined behind the rendezvous hello are already decoded.
     while (auto d = dec.Next()) {
-      if (!inbox_.Push(std::move(*d))) return;
+      if (!inbox_.Deliver(std::move(*d))) return;
     }
     std::vector<std::uint8_t> buf(64 * 1024);
     for (;;) {
@@ -163,8 +176,10 @@ class TcpFabricEndpoint::Impl {
                        << id << "; dropping connection";
         break;
       }
+      // With a sink installed this thread completes a frame inline, so a
+      // response wakes its caller without a hop through the service loop.
       while (auto d = dec.Next()) {
-        if (!inbox_.Push(std::move(*d))) return;  // shutting down
+        if (!inbox_.Deliver(std::move(*d))) return;  // shutting down
       }
     }
     // The recv side saw a close, error or garbage outside of an orderly
@@ -192,7 +207,7 @@ class TcpFabricEndpoint::Impl {
   NodeId self_;
   std::vector<TcpNodeAddr> nodes_;
   std::vector<std::unique_ptr<Peer>> peers_;
-  BlockingQueue<Delivery> inbox_;
+  Inbox inbox_;
   std::atomic<bool> shutting_down_{false};
 };
 
@@ -231,5 +246,8 @@ std::optional<Delivery> TcpFabricEndpoint::TryRecv() {
   return d;
 }
 void TcpFabricEndpoint::Shutdown() { impl_->Shutdown(); }
+void TcpFabricEndpoint::SetInlineSink(InlineSink sink) {
+  impl_->SetSink(CountingSink(std::move(sink)));
+}
 
 }  // namespace dse::net

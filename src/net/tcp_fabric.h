@@ -4,7 +4,8 @@
 // Rendezvous protocol: every node listens on its configured port; for each
 // pair (i, j) with i < j, node j initiates the connection and sends an empty
 // hello frame carrying its node id, which node i uses to identify the peer.
-// Connect attempts retry briefly so nodes may start in any order.
+// Connect attempts retry with a short doubling pause (1 ms up to 20 ms)
+// until the timeout, so nodes may start in any order.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +39,8 @@ class TcpFabricEndpoint : public Endpoint {
   std::optional<Delivery> Recv() override;
   std::optional<Delivery> TryRecv() override;
   void Shutdown() override;
+  // Frames from peers are offered to the sink on their reader thread.
+  void SetInlineSink(InlineSink sink) override;
 
  private:
   class Impl;

@@ -2,15 +2,19 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
 #include "common/rng.h"
 
+#include "net/fault.h"
 #include "net/framing.h"
 #include "net/inproc.h"
 #include "net/tcp_fabric.h"
@@ -391,6 +395,250 @@ TEST(TcpFabric, SendToClosedPeerFailsUnavailable) {
   EXPECT_EQ(last.code(), ErrorCode::kUnavailable) << last.ToString();
   // And it stays failed — the latch does not reset.
   EXPECT_EQ(a->Send(1, Payload({4})).code(), ErrorCode::kUnavailable);
+}
+
+TEST(TcpFabric, ConnectorStartsBeforeListener) {
+  // Node 1 dials node 0 before node 0 listens: its refused connects retry
+  // with a short backoff until the listener comes up, within the timeout.
+  const auto nodes = ReservePorts(2);
+  std::unique_ptr<TcpFabricEndpoint> a, b;
+  std::thread tb([&] { b = TcpFabricEndpoint::Create(1, nodes, 5000).value(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  a = TcpFabricEndpoint::Create(0, nodes, 5000).value();
+  tb.join();
+
+  ASSERT_TRUE(b->Send(0, Payload({9})).ok());
+  const auto d = a->Recv();
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->src, 1);
+  EXPECT_EQ(d->payload, Payload({9}));
+}
+
+// --- Inline sink and its per-source gate -------------------------------------
+
+// Test frames are {kind, seq}: the sink takes kTake frames (the stand-ins
+// for responses) and declines the rest, and logs every frame it is offered.
+constexpr int kDecline = 0;
+constexpr int kTake = 1;
+
+class SinkLog {
+ public:
+  InlineSink Sink() {
+    return [this](const Delivery& d) {
+      std::lock_guard<std::mutex> lock(mu_);
+      offered_.push_back(d.payload.at(1));
+      const bool take = d.payload.at(0) == kTake;
+      if (take) taken_.push_back(d.payload.at(1));
+      cv_.notify_all();
+      return take;
+    };
+  }
+  std::vector<int> offered() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return offered_;
+  }
+  std::vector<int> taken() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return taken_;
+  }
+  // Waits up to 10 s until `n` frames have been offered.
+  bool WaitOffered(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return offered_.size() >= n; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<int> offered_;
+  std::vector<int> taken_;
+};
+
+int SeqOf(const std::optional<Delivery>& d) {
+  return d.has_value() ? d->payload.at(1) : -1;
+}
+
+TEST(InlineSink, InProcGateHoldsFramesBehindEarlierOnesFromTheirSource) {
+  InProcFabric fabric(3);
+  Endpoint& rx = fabric.endpoint(1);
+  SinkLog log;
+  rx.SetInlineSink(log.Sink());
+  auto send = [&](NodeId from, int kind, int seq) {
+    ASSERT_TRUE(fabric.endpoint(from).Send(1, Payload({kind, seq})).ok());
+  };
+  using Seqs = std::vector<int>;
+
+  // Nothing earlier from node 0: frame 0 is offered; declined, it queues.
+  send(0, kDecline, 0);
+  EXPECT_EQ(log.offered(), Seqs({0}));
+  // Frame 1 queues behind frame 0 without being offered, while node 2's
+  // frame, with nothing of its own ahead, is taken inline.
+  send(0, kTake, 1);
+  send(2, kTake, 100);
+  EXPECT_EQ(log.offered(), Seqs({0, 100}));
+
+  // TryRecv() retires like Recv() and cannot hang this test if a frame
+  // went inline by mistake.
+  EXPECT_EQ(SeqOf(rx.TryRecv()), 0);  // frame 0 in dispatch, 1 queued
+  send(0, kTake, 2);
+  EXPECT_EQ(SeqOf(rx.TryRecv()), 1);  // frame 0 retired, 1 in dispatch
+  send(0, kTake, 3);
+  EXPECT_EQ(SeqOf(rx.TryRecv()), 2);
+  EXPECT_EQ(SeqOf(rx.TryRecv()), 3);
+  EXPECT_EQ(log.offered(), Seqs({0, 100}));
+
+  // The Recv() caller came back with frame 3 done: node 0's next frame
+  // goes inline.
+  EXPECT_FALSE(rx.TryRecv().has_value());
+  send(0, kTake, 4);
+  EXPECT_EQ(log.taken(), Seqs({100, 4}));
+  EXPECT_FALSE(rx.TryRecv().has_value());
+
+  // Frames taken inline count as received, like the ones Recv() returned.
+  EXPECT_EQ(rx.wire_counts().msgs_recv, 6u);
+  EXPECT_EQ(rx.wire_counts().bytes_recv, 12u);
+
+  // Without a sink every frame queues.
+  rx.SetInlineSink(nullptr);
+  send(0, kTake, 5);
+  EXPECT_EQ(log.offered().size(), 3u);
+  EXPECT_EQ(SeqOf(rx.TryRecv()), 5);
+  EXPECT_EQ(rx.wire_counts().msgs_recv, 7u);
+}
+
+TEST(InlineSink, FaultyEndpointForwardsTheSinkToItsFabric) {
+  InProcFabric fabric(2);
+  FaultInjector injector(FaultPlan{});
+  FaultyEndpoint rx(&fabric.endpoint(1), &injector);
+  SinkLog log;
+  rx.SetInlineSink(log.Sink());
+  ASSERT_TRUE(fabric.endpoint(0).Send(1, Payload({kTake, 0})).ok());
+  EXPECT_EQ(log.taken(), std::vector<int>({0}));
+  EXPECT_EQ(rx.wire_counts().msgs_recv, 1u);
+  EXPECT_EQ(fabric.endpoint(1).wire_counts().msgs_recv, 1u);
+
+  rx.SetInlineSink(nullptr);
+  ASSERT_TRUE(fabric.endpoint(0).Send(1, Payload({kTake, 1})).ok());
+  EXPECT_EQ(SeqOf(rx.TryRecv()), 1);
+  EXPECT_EQ(log.offered().size(), 1u);
+}
+
+// Blocks up to 10 s until `pred` holds.
+template <typename Pred>
+bool WaitUntil(Pred pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(InlineSink, TcpReaderTakesAFrameOnceEarlierOnesRetire) {
+  const auto nodes = ReservePorts(2);
+  std::unique_ptr<TcpFabricEndpoint> a, b;
+  std::thread tb([&] { b = TcpFabricEndpoint::Create(1, nodes).value(); });
+  a = TcpFabricEndpoint::Create(0, nodes).value();
+  tb.join();
+  SinkLog log;
+  b->SetInlineSink(log.Sink());
+
+  // A declined frame still reaches Recv().
+  ASSERT_TRUE(a->Send(1, Payload({kDecline, 0})).ok());
+  EXPECT_EQ(SeqOf(b->Recv()), 0);
+  EXPECT_EQ(log.offered(), std::vector<int>({0}));
+  // Coming back for more retires frame 0; the next frame goes inline on
+  // the reader thread.
+  EXPECT_FALSE(b->TryRecv().has_value());
+  ASSERT_TRUE(a->Send(1, Payload({kTake, 1})).ok());
+  ASSERT_TRUE(log.WaitOffered(2));
+  EXPECT_EQ(log.taken(), std::vector<int>({1}));
+  EXPECT_TRUE(WaitUntil([&] { return b->wire_counts().msgs_recv == 2; }));
+
+  b->SetInlineSink(nullptr);
+  ASSERT_TRUE(a->Send(1, Payload({kTake, 2})).ok());
+  EXPECT_EQ(SeqOf(b->Recv()), 2);
+  EXPECT_EQ(log.offered().size(), 2u);
+  EXPECT_EQ(b->wire_counts().msgs_recv, 3u);
+}
+
+TEST(InlineSink, TcpNeverOffersAFrameBehindAnUnretiredOne) {
+  // A burst of mixed frames against a consumer that drains at its own pace.
+  // Whatever the timing, the sink may only be offered frame k once every
+  // earlier frame was taken inline or returned by TryRecv() and then
+  // retired by the next call; each frame arrives exactly once, in order.
+  const auto nodes = ReservePorts(2);
+  std::unique_ptr<TcpFabricEndpoint> a, b;
+  std::thread tb([&] { b = TcpFabricEndpoint::Create(1, nodes).value(); });
+  a = TcpFabricEndpoint::Create(0, nodes).value();
+  tb.join();
+
+  constexpr int kFrames = 300;
+  std::mutex mu;
+  std::vector<char> done(kFrames, 0);  // taken inline, or retired
+  std::vector<int> taken;
+  int violations = 0;
+  auto seq_of = [](const Delivery& d) {
+    return d.payload.at(1) | (d.payload.at(2) << 8);
+  };
+  b->SetInlineSink([&](const Delivery& d) {
+    const int seq = seq_of(d);
+    std::lock_guard<std::mutex> lock(mu);
+    for (int j = 0; j < seq; ++j) {
+      if (done[static_cast<size_t>(j)] == 0) {
+        ++violations;
+        break;
+      }
+    }
+    if (d.payload.at(0) != kTake) return false;
+    done[static_cast<size_t>(seq)] = 1;
+    taken.push_back(seq);
+    return true;
+  });
+
+  std::thread sender([&] {
+    Rng rng(0x1A11E5u);
+    for (int seq = 0; seq < kFrames; ++seq) {
+      const int kind = rng.NextBool(0.5) ? kTake : kDecline;
+      ASSERT_TRUE(
+          a->Send(1, Payload({kind, seq & 0xFF, seq >> 8})).ok());
+    }
+  });
+  std::vector<int> received;
+  int last = -1;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (last >= 0) done[static_cast<size_t>(last)] = 1;
+      if (taken.size() + received.size() == kFrames) break;
+    }
+    if (std::chrono::steady_clock::now() >= deadline) {
+      ADD_FAILURE() << "timed out with " << received.size()
+                    << " frames received";
+      break;
+    }
+    last = -1;
+    if (auto d = b->TryRecv()) {
+      last = seq_of(*d);
+      received.push_back(last);
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+  sender.join();
+  b->SetInlineSink(nullptr);
+
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(violations, 0);
+  EXPECT_TRUE(std::is_sorted(taken.begin(), taken.end()));
+  EXPECT_TRUE(std::is_sorted(received.begin(), received.end()));
+  std::set<int> all(taken.begin(), taken.end());
+  all.insert(received.begin(), received.end());
+  EXPECT_EQ(all.size(), static_cast<size_t>(kFrames));
 }
 
 // --- FrameDecoder robustness -------------------------------------------------

@@ -334,6 +334,80 @@ TEST(RuntimeCache, WriteInvalidatesRemoteCache) {
   rt.RunMain("main");
 }
 
+// Coherence under inline cache fills. A block fetch's response may fill the
+// reader's cache on the thread that received it instead of its service
+// loop; the endpoint's per-source gate must still order that fill with the
+// invalidations its home sends. A writer on the home node publishes
+// versions under a lock (data first, then the published counter); two
+// readers on other nodes, each caching the block, must read exactly the
+// published version under the lock and never an older one outside it.
+TEST(RuntimeCache, InlineFillsNeverServeAVersionOlderThanReleased) {
+  constexpr int kRounds = 300;
+  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 3, .read_cache = true});
+
+  auto args = [](std::uint64_t data, std::uint64_t pub) {
+    ByteWriter w;
+    w.WriteU64(data);
+    w.WriteU64(pub);
+    return w.TakeBuffer();
+  };
+  auto parse = [](Task& t, std::uint64_t* data, std::uint64_t* pub) {
+    ByteReader r(t.arg().data(), t.arg().size());
+    ASSERT_TRUE(r.ReadU64(data).ok());
+    ASSERT_TRUE(r.ReadU64(pub).ok());
+  };
+  rt.registry().Register("writer", [&](Task& t) {
+    std::uint64_t data = 0, pub = 0;
+    parse(t, &data, &pub);
+    for (std::int64_t v = 1; v <= kRounds; ++v) {
+      ASSERT_TRUE(t.Lock(7).ok());
+      t.WriteValue<std::int64_t>(data, v);
+      ASSERT_EQ(t.AtomicFetchAdd(pub, 1).value(), v - 1);
+      ASSERT_TRUE(t.Unlock(7).ok());
+    }
+  });
+  rt.registry().Register("reader", [&](Task& t) {
+    std::uint64_t data = 0, pub = 0;
+    parse(t, &data, &pub);
+    std::int64_t seen = 0;
+    while (seen < kRounds) {
+      ASSERT_TRUE(t.Lock(7).ok());
+      const std::int64_t released = t.AtomicFetchAdd(pub, 0).value();
+      const auto got = t.ReadValue<std::int64_t>(data);
+      ASSERT_TRUE(t.Unlock(7).ok());
+      ASSERT_EQ(got, released) << "node " << t.node() << " read a stale block";
+      ASSERT_GE(got, seen);
+      seen = got;
+      // Outside the lock the copy may lag the writer, but never what this
+      // reader has already seen released.
+      ASSERT_GE(t.ReadValue<std::int64_t>(data), seen);
+    }
+  });
+  rt.registry().Register("main", [&](Task& t) {
+    const auto data = t.AllocOnNode(64, 0).value();
+    const auto pub = t.AllocOnNode(64, 0).value();
+    std::vector<Gpid> gs;
+    gs.push_back(t.Spawn("reader", args(data, pub), 1).value());
+    gs.push_back(t.Spawn("reader", args(data, pub), 2).value());
+    gs.push_back(t.Spawn("writer", args(data, pub), 0).value());
+    for (Gpid g : gs) ASSERT_TRUE(t.Join(g).ok());
+  });
+  rt.RunMain("main");
+
+  std::uint64_t inline_resps = 0;
+  std::uint64_t cache_hits = 0;
+  for (const MetricsSnapshot& node : rt.ClusterStats()) {
+    if (const auto it = node.find("rpc.inline_resp"); it != node.end()) {
+      inline_resps += it->second;
+    }
+    if (const auto it = node.find("dsm.cache_hits"); it != node.end()) {
+      cache_hits += it->second;
+    }
+  }
+  EXPECT_GT(inline_resps, 0u);
+  EXPECT_GT(cache_hits, 0u);
+}
+
 TEST(RuntimeSsi, NameServicePublishLookup) {
   RunMain(3, false, [](Task& t) {
     auto addr = t.AllocStriped(64, 6).value();

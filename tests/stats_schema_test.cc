@@ -15,6 +15,7 @@
 #include "dse/sched/serving.h"
 #include "dse/sim_runtime.h"
 #include "dse/ssi/stats.h"
+#include "dse/threaded_runtime.h"
 #include "platform/profile.h"
 
 namespace dse {
@@ -160,6 +161,34 @@ TEST(StatsSchema, ServingRunExportsSchedCountersInBothFormats) {
         "sched.tenant.1.admitted"}) {
     EXPECT_TRUE(names.count(required) > 0) << "missing " << required;
   }
+  // The simulator delivers every response through its kernel loop, so it
+  // never completes one inline: the counter stays 0 and is elided.
+  EXPECT_EQ(names.count("rpc.inline_resp"), 0u);
+}
+
+// On the threaded runtime a remote call's response is completed on the
+// thread that received it (rpc.inline_resp); the counter reaches both
+// exports like every other.
+TEST(StatsSchema, ThreadedRunExportsInlineResponseCounter) {
+  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 2});
+  rt.registry().Register("main", [](Task& t) {
+    const auto addr = t.AllocOnNode(64, 1).value();
+    for (int i = 0; i < 20; ++i) {
+      t.WriteValue<std::int64_t>(addr, i);
+      EXPECT_EQ(t.ReadValue<std::int64_t>(addr), i);
+    }
+  });
+  rt.RunMain("main");
+
+  const std::vector<MetricsSnapshot> per_node = rt.ClusterStats();
+  ExpectSameSchema(per_node);
+  const MetricsSnapshot total = ssi::Aggregate(per_node);
+  const auto it = total.find("rpc.inline_resp");
+  ASSERT_NE(it, total.end());
+  EXPECT_GT(it->second, 0u);
+  const std::set<std::string> names =
+      CsvCounterNames(ssi::StatsToCsv(per_node));
+  EXPECT_TRUE(names.count("rpc.inline_resp") > 0);
 }
 
 }  // namespace
