@@ -22,7 +22,10 @@ using namespace dse;
 // the full client -> kernel -> client path.
 template <typename LoopFn>
 void RunInTask(benchmark::State& state, bool read_cache, LoopFn loop) {
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 4, .read_cache = read_cache});
+  ThreadedOptions opts;
+  opts.num_nodes = 4;
+  opts.read_cache = read_cache;
+  ThreadedRuntime rt(opts);
   rt.registry().Register("bench.main", [&](Task& t) { loop(t, state); });
   rt.RunMain("bench.main");
 }
@@ -95,7 +98,9 @@ void BM_LockUnlock(benchmark::State& state) {
 BENCHMARK(BM_LockUnlock);
 
 void BM_SpawnJoin(benchmark::State& state) {
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 4});
+  ThreadedOptions options;
+  options.num_nodes = 4;
+  ThreadedRuntime rt(options);
   rt.registry().Register("bench.noop", [](Task&) {});
   rt.registry().Register("bench.main", [&state](Task& t) {
     for (auto _ : state) {
@@ -113,7 +118,9 @@ void BM_Barrier2(benchmark::State& state) {
   // (google-benchmark picks the iteration count, so the partner cannot
   // mirror the bench loop directly).
   constexpr std::int64_t kRounds = 500;
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 2});
+  ThreadedOptions options;
+  options.num_nodes = 2;
+  ThreadedRuntime rt(options);
   rt.registry().Register("bench.partner", [](Task& t) {
     ByteReader r(t.arg().data(), t.arg().size());
     std::int64_t rounds = 0;
@@ -149,10 +156,12 @@ BENCHMARK(BM_Barrier2)->UseManualTime();
 // stream cold, so the depth>0 variants show read-ahead, not cache residency.
 void BM_StridedReadPrefetch(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 4,
-                                     .read_cache = true,
-                                     .batching = true,
-                                     .prefetch_depth = depth});
+  ThreadedOptions opts;
+  opts.num_nodes = 4;
+  opts.read_cache = true;
+  opts.batching = true;
+  opts.prefetch_depth = depth;
+  ThreadedRuntime rt(opts);
   rt.registry().Register("bench.main", [&state](Task& t) {
     constexpr std::uint64_t kBlock = gmm::kHomedBlockBytes;
     constexpr std::uint64_t kBlocks = 64;
@@ -176,8 +185,10 @@ BENCHMARK(BM_StridedReadPrefetch)->Arg(0)->Arg(2)->Arg(4)->Arg(8);
 // Arg: 0 = serial chunk requests, 1 = per-home batch envelopes.
 void BM_ScatterReadBatch(benchmark::State& state) {
   const bool batch = state.range(0) != 0;
-  ThreadedRuntime rt(
-      ThreadedOptions{.num_nodes = 4, .batching = batch});
+  ThreadedOptions opts;
+  opts.num_nodes = 4;
+  opts.batching = batch;
+  ThreadedRuntime rt(opts);
   rt.registry().Register("bench.main", [&state](Task& t) {
     constexpr std::uint64_t kBytes = 64 * 64;  // 64 chunks of 64 B
     auto addr = t.AllocStriped(kBytes, 6).value();
@@ -197,9 +208,11 @@ BENCHMARK(BM_ScatterReadBatch)->Arg(0)->Arg(1);
 // into one span flushed (batched) at the barrier.
 void BM_SmallWriteBurst(benchmark::State& state) {
   const bool wc = state.range(0) != 0;
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 4,
-                                     .batching = wc,
-                                     .write_combine = wc});
+  ThreadedOptions opts;
+  opts.num_nodes = 4;
+  opts.batching = wc;
+  opts.write_combine = wc;
+  ThreadedRuntime rt(opts);
   rt.registry().Register("bench.main", [&state](Task& t) {
     constexpr std::uint64_t kWrites = 32;
     constexpr std::uint64_t kStride = 8;

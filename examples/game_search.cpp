@@ -59,7 +59,9 @@ int main(int argc, char** argv) {
   const int depth = argc > 1 ? std::atoi(argv[1]) : 5;
 
   // First, the cluster-parallel evaluation of the opening position.
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 4});
+  ThreadedOptions options;
+  options.num_nodes = 4;
+  ThreadedRuntime rt(options);
   apps::othello::Register(rt.registry());
   apps::othello::Config config{.depth = depth, .workers = 4, .min_tasks = 12};
   const auto result =

@@ -24,7 +24,9 @@ int main() {
   std::printf("%-8s %10s %10s %12s\n", "block", "PSNR [dB]", "kept", "wall");
 
   for (const int block : {4, 8, 16}) {
-    ThreadedRuntime rt(ThreadedOptions{.num_nodes = 4});
+    ThreadedOptions options;
+    options.num_nodes = 4;
+    ThreadedRuntime rt(options);
     apps::dct::Register(rt.registry());
     apps::dct::Config config{.width = kImage,
                              .height = kImage,

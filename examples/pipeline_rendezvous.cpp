@@ -90,7 +90,9 @@ void Main(Task& t) {
 }  // namespace
 
 int main() {
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 4});
+  ThreadedOptions options;
+  options.num_nodes = 4;
+  ThreadedRuntime rt(options);
   rt.registry().Register("producer", Producer);
   rt.registry().Register("consumer", Consumer);
   rt.registry().Register("main", Main);

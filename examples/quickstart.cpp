@@ -75,7 +75,9 @@ void Main(Task& t) {
 }  // namespace
 
 int main() {
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 4});
+  ThreadedOptions options;
+  options.num_nodes = 4;
+  ThreadedRuntime rt(options);
   rt.registry().Register("square", SquareWorker);
   rt.registry().Register("main", Main);
   rt.RunMain("main");

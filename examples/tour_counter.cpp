@@ -27,7 +27,9 @@ int main(int argc, char** argv) {
   std::printf("%-12s %10s %10s %12s\n", "target jobs", "jobs", "tours",
               "wall [ms]");
   for (const int jobs : {2, 8, 32, 128}) {
-    ThreadedRuntime rt(ThreadedOptions{.num_nodes = 4});
+    ThreadedOptions options;
+    options.num_nodes = 4;
+    ThreadedRuntime rt(options);
     apps::knight::Register(rt.registry());
     apps::knight::Config config{
         .board = board, .start = 0, .target_jobs = jobs, .workers = 4};

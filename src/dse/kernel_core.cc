@@ -78,6 +78,13 @@ bool EpochFenced(proto::MsgType type) {
 
 }  // namespace
 
+KernelOptions KernelOptionsFor(const ClusterOptions& cluster, bool lossy) {
+  KernelOptions kopts;
+  static_cast<ClusterOptions&>(kopts) = cluster;
+  kopts.rpc_sync_retry = lossy;
+  return kopts;
+}
+
 KernelCore::KernelCore(NodeId self, int num_nodes, KernelOptions options)
     : self_(self),
       num_nodes_(num_nodes),

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "dse/cluster_options.h"
 #include "dse/gmm/home.h"
 #include "dse/ids.h"
 #include "dse/pm/process_table.h"
@@ -50,57 +51,14 @@
 
 namespace dse {
 
-struct KernelOptions {
-  // Enables the client read cache + home copyset/invalidation protocol.
-  bool read_cache = false;
-  // Split-transaction transfers: multi-chunk accesses issue all their
-  // requests before waiting (latency hiding; an extension beyond the
-  // paper's strictly request/response DSE).
-  bool pipelined_transfers = false;
-  // Fast path: coalesce the sub-accesses of one logical Read/Write that are
-  // homed on the same node into a single BatchReq envelope (one protocol
-  // overhead per destination instead of per access).
-  bool batching = false;
-  // Fast path: on an ascending sequential block stride, read ahead this many
-  // coherence blocks into the client read cache. 0 disables. Requires
-  // read_cache (ignored otherwise).
-  int prefetch_depth = 0;
-  // Fast path: buffer small writes in the client and flush the combined
-  // spans at synchronization points (barrier/lock/atomic/read-overlap) —
-  // release consistency at sync instead of per-write round trips.
-  bool write_combine = false;
-  // Failure-aware data plane: per-attempt deadline and bounded retries for
-  // the client's data-plane calls (read/write/atomic/alloc/free/spawn and
-  // the SSI queries). 0 deadline = wait forever. Retries resend the same
-  // req_id; this kernel's at-most-once cache (below) dedupes the replays.
-  // Synchronization calls (lock/barrier/join) never time out — they block
-  // by design — but still fail fast on dead peers and shutdown.
-  int rpc_deadline_ms = 10000;
-  int rpc_max_attempts = 3;
-  int rpc_backoff_base_ms = 5;  // exponential: base, 2x, 4x, ...
-  // With a lossy fabric (fault plan active) a lost BarrierEnter/LockReq/
-  // JoinReq frame would block its caller forever, so the runtimes set this
-  // to make sync calls resend (same req_id, deduped at the home) on the
-  // data-plane deadline — indefinitely, never surfacing kTimeout.
+// One node's kernel configuration: the shared cluster knobs plus what the
+// hosting runtime supplies.
+struct KernelOptions : ClusterOptions {
+  // On a lossy fabric (fault plan active) a lost BarrierEnter/LockReq/
+  // JoinReq frame would block its caller forever, so sync calls resend
+  // (same req_id, deduped at the home) on the data-plane deadline —
+  // indefinitely, never surfacing kTimeout. Set by KernelOptionsFor.
   bool rpc_sync_retry = false;
-  // Recovery subsystem (docs/recovery.md): replication factor for GMM home
-  // state. 0 disables recovery entirely (PR 3 behavior); 1 gives each home a
-  // backup at the next live ring successor — mutating requests are forwarded
-  // as ReplicateReq records and the client reply is gated on the backup's
-  // ack, so an acknowledged mutation survives the primary's death.
-  int replication = 0;
-  // With replication: after an eviction, re-spawn idempotent-marked tasks
-  // that were hosted on the dead node instead of failing their joins.
-  bool restart_tasks = false;
-  // Self-healing membership (docs/recovery.md): minimum number of reachable
-  // members (including self) a node needs before it may apply a *locally
-  // detected* eviction. 0 means a strict majority of the current
-  // membership. A node below the threshold parks instead of evicting.
-  int min_quorum = 0;
-  // Self-healing membership: whether the coordinator re-admits evicted
-  // nodes that ask to rejoin (NodeJoinReq). Off, a returned node stays
-  // parked outside the cluster forever.
-  bool rejoin = true;
   // Validates SpawnReq task names; unknown names fail the spawn with
   // kInvalidArgument instead of crashing the target node.
   std::function<bool(const std::string&)> has_task;
@@ -110,14 +68,15 @@ struct KernelOptions {
   // Lets the backend merge transport-level counters (e.g. the endpoint's
   // wire byte counts) into StatsSnapshot(). May be null.
   std::function<void(MetricsSnapshot*)> augment_stats;
-  // Serving front door (docs/scheduling.md): when enabled, node 0 hosts the
-  // multi-tenant job scheduler behind JobSubmitReq/JobStartReq/JobDoneReq.
-  sched::Config sched;
   // Microsecond clock for the scheduler's latency/utilization accounting:
   // virtual time on the simulator, steady_clock on the threaded runtime.
   // Accounting only — never control flow, so determinism is unaffected.
   std::function<std::uint64_t()> now_us;
 };
+
+// The kernel options every runtime derives from its cluster knobs; `lossy`
+// says the fabric runs a fault plan. The callbacks are the runtime's to set.
+KernelOptions KernelOptionsFor(const ClusterOptions& cluster, bool lossy);
 
 struct KernelStats {
   std::uint64_t handled = 0;          // server-side messages processed

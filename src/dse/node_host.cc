@@ -245,29 +245,15 @@ class HostTask final : public Task {
 namespace {
 
 KernelOptions MakeKernelOptions(const NodeHost::Options& options,
-                                TaskRegistry* registry,
                                 net::Endpoint* endpoint) {
-  KernelOptions kopts;
-  kopts.read_cache = options.read_cache;
-  kopts.pipelined_transfers = options.pipelined_transfers;
-  kopts.batching = options.batching;
-  kopts.prefetch_depth = options.prefetch_depth;
-  kopts.write_combine = options.write_combine;
-  kopts.rpc_deadline_ms = options.rpc_deadline_ms;
-  kopts.rpc_max_attempts = options.rpc_max_attempts;
-  kopts.rpc_backoff_base_ms = options.rpc_backoff_base_ms;
-  kopts.rpc_sync_retry = options.sync_retry;
-  kopts.replication = options.replication;
-  kopts.restart_tasks = options.restart_tasks;
-  kopts.min_quorum = options.min_quorum;
-  kopts.rejoin = options.rejoin;
+  KernelOptions kopts = KernelOptionsFor(options, options.lossy);
+  TaskRegistry* registry = options.registry;
   kopts.has_task = [registry](const std::string& name) {
     return registry->Has(name);
   };
   kopts.task_idempotent = [registry](const std::string& name) {
     return registry->IsIdempotent(name);
   };
-  kopts.sched = options.sched;
   // Scheduler latency accounting in real microseconds (monotonic).
   kopts.now_us = [] {
     return static_cast<std::uint64_t>(
@@ -294,7 +280,7 @@ NodeHost::NodeHost(net::Endpoint* endpoint, int num_nodes, Options options)
     : endpoint_(endpoint),
       options_(std::move(options)),
       core_(endpoint->self(), num_nodes,
-            MakeKernelOptions(options_, options_.registry, endpoint)),
+            MakeKernelOptions(options_, endpoint)),
       last_heard_ms_(static_cast<size_t>(num_nodes)),
       peer_dead_(static_cast<size_t>(num_nodes)),
       drain_initiated_(static_cast<size_t>(num_nodes)) {
@@ -348,15 +334,15 @@ void NodeHost::Start() {
     }
     service_exit_cv_.notify_all();
   });
-  if (options_.heartbeat_period_ms > 0 && core_.num_nodes() > 1) {
-    heartbeat_ = std::thread([this] { HeartbeatLoop(); });
+  const int period_ms = options_.heartbeat.EffectivePeriodMs(options_.lossy);
+  if (period_ms > 0 && core_.num_nodes() > 1) {
+    heartbeat_ = std::thread([this, period_ms] { HeartbeatLoop(period_ms); });
   }
 }
 
-void NodeHost::HeartbeatLoop() {
-  const int period_ms = options_.heartbeat_period_ms;
-  const int timeout_ms = options_.heartbeat_timeout_ms > 0
-                             ? options_.heartbeat_timeout_ms
+void NodeHost::HeartbeatLoop(int period_ms) {
+  const int timeout_ms = options_.heartbeat.timeout_ms > 0
+                             ? options_.heartbeat.timeout_ms
                              : 5 * period_ms;
   std::int64_t last_tick = NowMs();
   for (;;) {

@@ -27,28 +27,34 @@
 
 namespace dse {
 
+// Liveness probing, spelled the same on every runtime built on NodeHost:
+// every period the host heartbeats its peers and declares any peer silent
+// past the timeout dead (failing that peer's in-flight calls with
+// kUnavailable and refusing new sends to it).
+struct HeartbeatOptions {
+  // Positive = period in ms; 0 = auto: 50 ms on a lossy fabric (a fault
+  // plan is active), so crashed peers are detected rather than waited on
+  // forever, and off otherwise; negative = off.
+  int period_ms = 0;
+  // 0 = 5x the period.
+  int timeout_ms = 0;
+
+  // The period the prober runs at; 0 means no prober.
+  int EffectivePeriodMs(bool lossy) const {
+    if (period_ms > 0) return period_ms;
+    return period_ms == 0 && lossy ? 50 : 0;
+  }
+};
+
 class NodeHost {
  public:
-  struct Options {
-    bool read_cache = false;
-    bool pipelined_transfers = false;
-    // GMM fast path (see KernelOptions for semantics).
-    bool batching = false;
-    int prefetch_depth = 0;
-    bool write_combine = false;
-    // Failure-aware data plane (see KernelOptions for semantics).
-    int rpc_deadline_ms = 10000;
-    int rpc_max_attempts = 3;
-    int rpc_backoff_base_ms = 5;
-    // Lossy-fabric mode: sync calls (lock/barrier/join) resend the same
-    // req_id on each deadline instead of blocking forever on one send.
-    bool sync_retry = false;
-    // Liveness probing: every period this host heartbeats its peers and
-    // declares any peer silent past the timeout dead (failing that peer's
-    // in-flight calls with kUnavailable and refusing new sends to it).
-    // 0 disables the prober; timeout 0 defaults to 5x the period.
-    int heartbeat_period_ms = 0;
-    int heartbeat_timeout_ms = 0;
+  struct Options : ClusterOptions {
+    TaskRegistry* registry = nullptr;            // required
+    // The fabric under this host may lose frames (its runtime runs a fault
+    // plan): sync calls resend on the data-plane deadline
+    // (KernelOptionsFor) and the heartbeat prober defaults on.
+    bool lossy = false;
+    HeartbeatOptions heartbeat;
     // Ground-truth liveness oracle (in-process harnesses only). When every
     // "node" is a thread of one process, OS-scheduler starvation of a
     // peer's *sender* thread is indistinguishable from real silence to a
@@ -68,17 +74,6 @@ class NodeHost {
     // that peer's graceful drain (once per host — the latch below). Tests
     // and tools may instead call AdminDrain directly.
     std::function<bool(NodeId peer)> drain_requested;
-    // Recovery subsystem (see KernelOptions / docs/recovery.md).
-    int replication = 0;
-    bool restart_tasks = false;
-    // Self-healing membership (see KernelOptions): quorum floor for locally
-    // detected evictions (0 = strict majority) and whether evicted nodes
-    // may rejoin.
-    int min_quorum = 0;
-    bool rejoin = true;
-    // Serving front door (see KernelOptions / docs/scheduling.md).
-    sched::Config sched;
-    TaskRegistry* registry = nullptr;            // required
     // Receives SSI console lines (only ever called on node 0's host).
     std::function<void(std::string)> console_sink;
   };
@@ -231,7 +226,7 @@ class NodeHost {
   // Re-resolves, re-registers and resends a call after a failover signal.
   // Ok means the waiter will be answered (keep awaiting).
   Status FailoverResend(NodeId natural, proto::Envelope* env, Waiter* waiter);
-  void HeartbeatLoop();
+  void HeartbeatLoop(int period_ms);
   std::int64_t NowMs() const;
 
   net::Endpoint* endpoint_;

@@ -11,6 +11,8 @@ namespace dse {
 Result<std::unique_ptr<ProcessRuntime>> ProcessRuntime::Create(
     NodeId self, std::vector<net::TcpNodeAddr> nodes,
     ProcessOptions options) {
+  const bool faulty = options.fault_plan.enabled();
+  DSE_RETURN_IF_ERROR(CheckLossyDeadline(options, faulty));
   const int n = static_cast<int>(nodes.size());
   auto endpoint = net::TcpFabricEndpoint::Create(self, std::move(nodes),
                                                  options.connect_timeout_ms);
@@ -20,41 +22,18 @@ Result<std::unique_ptr<ProcessRuntime>> ProcessRuntime::Create(
   rt->endpoint_ = std::move(*endpoint);
 
   net::Endpoint* ep = rt->endpoint_.get();
-  const bool faulty = options.fault_plan.enabled();
   if (faulty) {
-    if (options.rpc_deadline_ms <= 0) {
-      return InvalidArgument("a fault plan requires a finite rpc deadline");
-    }
     rt->fault_ = std::make_unique<net::FaultInjector>(options.fault_plan);
-    // Shutdown is the out-of-band teardown path (Encode writes the type tag
-    // first, so one byte identifies it).
     rt->faulty_endpoint_ = std::make_unique<net::FaultyEndpoint>(
-        ep, rt->fault_.get(), [](const std::vector<std::uint8_t>& payload) {
-          return !payload.empty() &&
-                 payload[0] ==
-                     static_cast<std::uint8_t>(proto::MsgType::kShutdown);
-        });
+        ep, rt->fault_.get(), proto::IsShutdownFrame);
     ep = rt->faulty_endpoint_.get();
   }
 
   NodeHost::Options hopts;
-  hopts.read_cache = options.read_cache;
-  hopts.pipelined_transfers = options.pipelined_transfers;
-  hopts.batching = options.batching;
-  hopts.prefetch_depth = options.prefetch_depth;
-  hopts.write_combine = options.write_combine;
-  hopts.rpc_deadline_ms = options.rpc_deadline_ms;
-  hopts.rpc_max_attempts = options.rpc_max_attempts;
-  hopts.rpc_backoff_base_ms = options.rpc_backoff_base_ms;
-  hopts.sync_retry = faulty;
-  hopts.heartbeat_period_ms =
-      options.heartbeat_period_ms > 0 ? options.heartbeat_period_ms
-      : options.heartbeat_period_ms == 0 && faulty ? 50
-                                                   : 0;
-  hopts.heartbeat_timeout_ms = options.heartbeat_timeout_ms;
-  hopts.replication = options.replication;
-  hopts.restart_tasks = options.restart_tasks;
+  static_cast<ClusterOptions&>(hopts) = options;
   hopts.registry = &rt->registry_;
+  hopts.lossy = faulty;
+  hopts.heartbeat = options.heartbeat;
   if (self == 0) {
     ProcessRuntime* raw = rt.get();
     hopts.console_sink = [raw](std::string line) {

@@ -22,31 +22,14 @@
 
 namespace dse {
 
-struct ProcessOptions {
-  bool read_cache = false;
-  bool pipelined_transfers = false;
-  // GMM data-plane fast path (see KernelOptions for semantics).
-  bool batching = false;
-  int prefetch_depth = 0;
-  bool write_combine = false;
+struct ProcessOptions : ClusterOptions {
   int connect_timeout_ms = 10000;
   // Deterministic fault injection on this node's TCP sends (net/fault.h).
   // Each process owns its own injector, so a cluster-wide plan means "every
   // node runs this plan on its outbound links" — per-link decision streams
   // still replay identically because they derive only from (seed, src, dst).
   net::FaultPlan fault_plan = {};
-  // Failure-aware data plane knobs (see NodeHost::Options).
-  int rpc_deadline_ms = 10000;
-  int rpc_max_attempts = 3;
-  int rpc_backoff_base_ms = 5;
-  // Heartbeat prober: 0 = auto (on with a fault plan, off without);
-  // negative = force off; positive = period in ms.
-  int heartbeat_period_ms = 0;
-  int heartbeat_timeout_ms = 0;
-  // Recovery subsystem (docs/recovery.md): replicate GMM homes to the ring
-  // successor and fail over on eviction; restart idempotent tasks.
-  int replication = 0;
-  bool restart_tasks = false;
+  HeartbeatOptions heartbeat;
 };
 
 class ProcessRuntime {

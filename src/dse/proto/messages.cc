@@ -552,6 +552,11 @@ bool IsClientResponseFrame(const std::vector<std::uint8_t>& payload) {
          IsClientResponse(static_cast<MsgType>(payload.front()));
 }
 
+bool IsShutdownFrame(const std::vector<std::uint8_t>& payload) {
+  return !payload.empty() &&
+         payload.front() == static_cast<std::uint8_t>(MsgType::kShutdown);
+}
+
 namespace {
 
 template <typename T>

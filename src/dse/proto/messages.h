@@ -461,4 +461,9 @@ Result<Envelope> Decode(const std::vector<std::uint8_t>& payload);
 // leading type byte, so a receiver can route a frame without decoding it.
 bool IsClientResponseFrame(const std::vector<std::uint8_t>& payload);
 
+// True when encoded payload bytes carry a Shutdown, also from the leading
+// type byte alone. Shutdown is the out-of-band teardown path, so fault
+// injection exempts it: a lost Shutdown would turn every exit into a hang.
+bool IsShutdownFrame(const std::vector<std::uint8_t>& payload);
+
 }  // namespace dse::proto

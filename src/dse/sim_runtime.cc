@@ -1049,36 +1049,20 @@ SimReport SimRuntime::Run(const std::string& main_name,
                 "fault plan has flink directives but the medium is not the "
                 "routed fabric");
 
-  if (options_.fault_plan.enabled()) {
-    // A lossy wire with unbounded waits would deadlock the simulation; the
-    // deadline is what converts a lost message into a retry or a kTimeout.
-    DSE_CHECK_MSG(options_.rpc_deadline_ms > 0,
-                  "sim fault injection requires a positive rpc deadline");
+  const bool lossy = options_.fault_plan.enabled();
+  DSE_CHECK_OK(CheckLossyDeadline(options_, lossy));
+  if (lossy) {
     state.fault = std::make_unique<net::FaultInjector>(options_.fault_plan);
   }
 
   for (NodeId i = 0; i < n; ++i) {
-    KernelOptions kopts;
-    kopts.read_cache = options_.read_cache;
-    kopts.pipelined_transfers = options_.pipelined_transfers;
-    kopts.batching = options_.batching;
-    kopts.prefetch_depth = options_.prefetch_depth;
-    kopts.write_combine = options_.write_combine;
-    kopts.rpc_deadline_ms = options_.rpc_deadline_ms;
-    kopts.rpc_max_attempts = options_.rpc_max_attempts;
-    kopts.rpc_backoff_base_ms = options_.rpc_backoff_base_ms;
-    kopts.rpc_sync_retry = options_.fault_plan.enabled();
-    kopts.replication = options_.replication;
-    kopts.restart_tasks = options_.restart_tasks;
-    kopts.min_quorum = options_.min_quorum;
-    kopts.rejoin = options_.rejoin;
+    KernelOptions kopts = KernelOptionsFor(options_, lossy);
     kopts.has_task = [this](const std::string& name) {
       return registry_.Has(name);
     };
     kopts.task_idempotent = [this](const std::string& name) {
       return registry_.IsIdempotent(name);
     };
-    kopts.sched = options_.sched;
     // Scheduler latency accounting in virtual microseconds. `state` outlives
     // every node (both live in this Run frame).
     kopts.now_us = [&state] {

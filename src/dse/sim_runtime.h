@@ -36,7 +36,20 @@ enum class OrganizationMode {
 
 enum class MediumKind { kSharedBus, kSwitched, kRoutedFabric };
 
-struct SimOptions {
+// On the simulator every time in the shared knobs is virtual time, and a
+// batched envelope is charged ONE per-message protocol overhead plus the
+// summed payload's byte cost — exactly why aggregation wins on the paper's
+// shared bus. With replication, a fired kill schedule makes the survivors
+// apply the eviction a fixed virtual delay later
+// (recovery::kSimDetectionDelayMs — the sim has no heartbeat traffic).
+// Membership is modelled by its converged outcome: on a kill or sever the
+// sim computes the partition components among the live members, the
+// component holding a quorum evicts the unreachable nodes, and quorum-less
+// components park (recovery.quorum_parks) until the fault heals; heals and
+// revives trigger rejoin + state hand-back over the same wire protocol the
+// threaded runtime uses. Scheduler timestamps come from virtual time, so a
+// serving schedule replays bit for bit.
+struct SimOptions : ClusterOptions {
   platform::Profile profile;
   // Heterogeneous cluster (optional): one profile per physical machine.
   // When non-empty it overrides `profile.physical_machines` (the machine
@@ -45,17 +58,6 @@ struct SimOptions {
   // `profile.net`. Empty = the homogeneous labs of the paper.
   std::vector<platform::Profile> machine_profiles;
   int num_processors = 4;  // DSE kernels in the (virtual) cluster
-  bool read_cache = false;
-  // Split-transaction transfers (latency-hiding extension; off = the
-  // paper's strict request/response behaviour).
-  bool pipelined_transfers = false;
-  // GMM data-plane fast path (see KernelOptions for semantics). Each
-  // batched envelope is charged ONE per-message protocol overhead plus the
-  // summed payload's byte cost — exactly why aggregation wins on the
-  // paper's shared bus.
-  bool batching = false;
-  int prefetch_depth = 0;
-  bool write_combine = false;
   OrganizationMode organization = OrganizationMode::kUnifiedLibrary;
   MediumKind medium = MediumKind::kSharedBus;
   // Routed-fabric configuration, used only under MediumKind::kRoutedFabric.
@@ -67,37 +69,10 @@ struct SimOptions {
   std::uint64_t seed = 1;
   // Deterministic fault injection on the simulated interconnect
   // (net/fault.h). Off unless the plan enables at least one fault. With a
-  // plan active, data-plane calls bound their waits with the rpc knobs below
-  // (in *virtual* time) and retry; without one the simulation is lossless
-  // and calls wait unbounded, exactly as before.
+  // plan active, data-plane calls bound their waits with the rpc knobs (in
+  // *virtual* time) and retry; without one the simulation is lossless and
+  // calls wait unbounded, exactly as before.
   net::FaultPlan fault_plan = {};
-  int rpc_deadline_ms = 10000;
-  int rpc_max_attempts = 3;
-  int rpc_backoff_base_ms = 5;
-  // Recovery subsystem (docs/recovery.md). With replication = 1 every GMM
-  // home is replicated to its ring successor; when a kill schedule fires,
-  // the survivors apply the eviction a fixed virtual delay later
-  // (recovery::kSimDetectionDelayMs — the sim has no heartbeat traffic) and
-  // clients transparently fail over. Fully deterministic: detection derives
-  // from the injector's frame counts, not timers.
-  int replication = 0;
-  // Re-spawn idempotent-registered tasks whose host was evicted.
-  bool restart_tasks = false;
-  // Self-healing membership (docs/recovery.md): quorum floor for locally
-  // detected evictions (0 = strict majority of the current membership) and
-  // whether evicted nodes may rejoin. The sim models the converged outcome
-  // deterministically: on a kill or sever it computes the partition
-  // components among the live members, the component holding a quorum
-  // evicts the unreachable nodes, and quorum-less components park
-  // (recovery.quorum_parks) until the fault heals; heals and revives
-  // trigger rejoin + state hand-back over the same wire protocol the
-  // threaded runtime uses.
-  int min_quorum = 0;
-  bool rejoin = true;
-  // Serving front door (docs/scheduling.md): when enabled node 0 hosts the
-  // multi-tenant job scheduler. Timestamps come from virtual time, so the
-  // whole serving schedule is bit-for-bit replayable.
-  sched::Config sched;
   // Rolling-restart maintenance driver (docs/recovery.md): drain, restart
   // and rejoin every node except node 0 in sequence while the main task
   // (typically a serving loop) keeps running. Exactly one node is ever out

@@ -19,34 +19,16 @@ ThreadedRuntime::ThreadedRuntime(ThreadedOptions options)
   DSE_CHECK(options_.num_nodes > 0);
   fabric_ = std::make_unique<Fabric>(options_.num_nodes);
   const bool faulty = options_.fault_plan.enabled();
+  DSE_CHECK_OK(CheckLossyDeadline(options_, faulty));
   if (faulty) {
-    DSE_CHECK_MSG(options_.rpc_deadline_ms > 0,
-                  "a fault plan requires a finite rpc deadline");
     fault_ = std::make_unique<net::FaultInjector>(options_.fault_plan);
   }
-  // Shutdown is the out-of-band teardown path: injecting faults into it
-  // turns every test exit into a hang. Encode() writes the type tag first,
-  // so one byte identifies it.
-  const auto immune = [](const std::vector<std::uint8_t>& payload) {
-    return !payload.empty() &&
-           payload[0] == static_cast<std::uint8_t>(proto::MsgType::kShutdown);
-  };
   for (NodeId i = 0; i < options_.num_nodes; ++i) {
     NodeHost::Options hopts;
-    hopts.read_cache = options_.read_cache;
-    hopts.pipelined_transfers = options_.pipelined_transfers;
-    hopts.batching = options_.batching;
-    hopts.prefetch_depth = options_.prefetch_depth;
-    hopts.write_combine = options_.write_combine;
-    hopts.rpc_deadline_ms = options_.rpc_deadline_ms;
-    hopts.rpc_max_attempts = options_.rpc_max_attempts;
-    hopts.rpc_backoff_base_ms = options_.rpc_backoff_base_ms;
-    hopts.sync_retry = faulty;
-    hopts.heartbeat_period_ms =
-        options_.heartbeat_period_ms > 0 ? options_.heartbeat_period_ms
-        : options_.heartbeat_period_ms == 0 && faulty ? 50
-                                                      : 0;
-    hopts.heartbeat_timeout_ms = options_.heartbeat_timeout_ms;
+    static_cast<ClusterOptions&>(hopts) = options_;
+    hopts.registry = &registry_;
+    hopts.lossy = faulty;
+    hopts.heartbeat = options_.heartbeat;
     if (faulty && options_.liveness_oracle) {
       net::FaultInjector* fault = fault_.get();
       // The silence is real if the peer is dead, the link is cut — or WE
@@ -67,12 +49,6 @@ ThreadedRuntime::ThreadedRuntime(ThreadedOptions options)
         return fault->NodeDraining(peer);
       };
     }
-    hopts.replication = options_.replication;
-    hopts.restart_tasks = options_.restart_tasks;
-    hopts.min_quorum = options_.min_quorum;
-    hopts.rejoin = options_.rejoin;
-    hopts.sched = options_.sched;
-    hopts.registry = &registry_;
     if (i == 0) {
       hopts.console_sink = [this](std::string line) {
         std::lock_guard<std::mutex> lock(console_mu_);
@@ -82,7 +58,8 @@ ThreadedRuntime::ThreadedRuntime(ThreadedOptions options)
     net::Endpoint* ep = &fabric_->inproc.endpoint(i);
     if (faulty) {
       faulty_endpoints_.push_back(
-          std::make_unique<net::FaultyEndpoint>(ep, fault_.get(), immune));
+          std::make_unique<net::FaultyEndpoint>(ep, fault_.get(),
+                                                proto::IsShutdownFrame));
       ep = faulty_endpoints_.back().get();
     }
     hosts_.push_back(std::make_unique<NodeHost>(ep, options_.num_nodes,

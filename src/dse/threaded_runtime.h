@@ -22,30 +22,14 @@
 
 namespace dse {
 
-struct ThreadedOptions {
+struct ThreadedOptions : ClusterOptions {
   int num_nodes = 4;
-  // Enables the client read cache + invalidation coherence protocol.
-  bool read_cache = false;
-  // Split-transaction transfers (latency hiding for multi-chunk accesses).
-  bool pipelined_transfers = false;
-  // GMM data-plane fast path (see KernelOptions for semantics).
-  bool batching = false;
-  int prefetch_depth = 0;
-  bool write_combine = false;
   // Deterministic fault injection on the in-process fabric (net/fault.h).
   // When the plan enables at least one fault, every node's endpoint is
-  // wrapped in a FaultyEndpoint sharing one injector, and the liveness
-  // prober defaults on (heartbeat_period_ms <= 0 picks 50 ms) so crashed
-  // peers are detected rather than waited on forever.
+  // wrapped in a FaultyEndpoint sharing one injector, and the fabric counts
+  // as lossy (NodeHost::Options::lossy).
   net::FaultPlan fault_plan = {};
-  // Failure-aware data plane knobs, forwarded to every NodeHost.
-  int rpc_deadline_ms = 10000;
-  int rpc_max_attempts = 3;
-  int rpc_backoff_base_ms = 5;
-  // Heartbeat prober: 0 = auto (on with a fault plan, off without);
-  // negative = force off; positive = period in ms.
-  int heartbeat_period_ms = 0;
-  int heartbeat_timeout_ms = 0;
+  HeartbeatOptions heartbeat;
   // Liveness oracle (docs/fault_model.md): before latching a
   // heartbeat-timeout suspicion, ask the fault injector whether the peer is
   // really killed or severed; unconfirmed silence (an OS-starved sender
@@ -54,20 +38,6 @@ struct ThreadedOptions {
   // faults keeps its genuine wall-clock latency. Off = raw timeouts, the
   // semantics a multi-process deployment would have.
   bool liveness_oracle = true;
-  // Recovery subsystem (docs/recovery.md): 0 = no replication (PR 3
-  // semantics — a dead node's state is lost), 1 = each GMM home is
-  // replicated to its ring successor and evictions fail over to it.
-  int replication = 0;
-  // Re-spawn idempotent-registered tasks whose host was evicted.
-  bool restart_tasks = false;
-  // Self-healing membership (docs/recovery.md): quorum floor for locally
-  // detected evictions (0 = strict majority of the current membership) and
-  // whether evicted nodes may rejoin the cluster.
-  int min_quorum = 0;
-  bool rejoin = true;
-  // Serving front door (docs/scheduling.md): when enabled node 0 hosts the
-  // multi-tenant job scheduler behind JobSubmitReq.
-  sched::Config sched;
 };
 
 class ThreadedRuntime {
@@ -119,7 +89,7 @@ class ThreadedRuntime {
   // Starts a graceful drain of `node` through node 0's admin verb
   // (docs/recovery.md). The cutover (planned eviction + rejoin) is driven
   // by the coordinator's heartbeat tick, so the prober must be active
-  // (a fault plan, or heartbeat_period_ms > 0) for the drain to complete.
+  // (a fault plan, or heartbeat.period_ms > 0) for the drain to complete.
   void DrainNode(NodeId node);
   // True while node 0's membership view marks `node` draining.
   bool NodeDraining(NodeId node);

@@ -8,12 +8,13 @@
 #include "common/bytes.h"
 #include "dse/collections.h"
 #include "dse/threaded_runtime.h"
+#include "tests/threaded_nodes.h"
 
 namespace dse {
 namespace {
 
 void RunMain(int nodes, std::function<void(Task&)> fn) {
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = nodes});
+  ThreadedRuntime rt(ThreadedNodes(nodes));
   rt.registry().Register("coll.main", std::move(fn));
   rt.RunMain("coll.main");
 }
@@ -59,7 +60,7 @@ TEST(GlobalVectorT, StripeBlockNeverSmallerThanElement) {
 }
 
 TEST(GlobalVectorT, AttachFromAnotherTask) {
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 3});
+  ThreadedRuntime rt(ThreadedNodes(3));
   rt.registry().Register("writer", [](Task& t) {
     ByteReader r(t.arg().data(), t.arg().size());
     std::uint64_t addr = 0;
@@ -99,7 +100,7 @@ constexpr std::int64_t kTotal = 97;
 
 TEST(GlobalWorkQueueT, DrainsExactlyOnce) {
   // 4 workers drain 97 items: every index claimed exactly once.
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 4});
+  ThreadedRuntime rt(ThreadedNodes(4));
   static std::atomic<int> claims[kTotal];
   for (auto& c : claims) c = 0;
 

@@ -1,11 +1,9 @@
-// Rng, RunningStats, SampleSet, BlockingQueue.
+// Rng, RunningStats, SampleSet.
 #include <cmath>
 #include <set>
-#include <thread>
 
 #include <gtest/gtest.h>
 
-#include "common/queue.h"
 #include "common/rng.h"
 #include "common/stats.h"
 
@@ -133,57 +131,6 @@ TEST(SampleSet, Percentiles) {
   EXPECT_EQ(s.Percentile(100), 100);
   EXPECT_EQ(s.Percentile(0), 1);
   EXPECT_EQ(s.Median(), 50);
-}
-
-TEST(BlockingQueue, FifoOrder) {
-  BlockingQueue<int> q;
-  q.Push(1);
-  q.Push(2);
-  q.Push(3);
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.Pop().value(), 2);
-  EXPECT_EQ(q.TryPop().value(), 3);
-  EXPECT_FALSE(q.TryPop().has_value());
-}
-
-TEST(BlockingQueue, CloseDrainsThenEnds) {
-  BlockingQueue<int> q;
-  q.Push(1);
-  q.Close();
-  EXPECT_FALSE(q.Push(2));  // rejected after close
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(BlockingQueue, CloseUnblocksWaiter) {
-  BlockingQueue<int> q;
-  std::thread waiter([&] { EXPECT_FALSE(q.Pop().has_value()); });
-  q.Close();
-  waiter.join();
-}
-
-TEST(BlockingQueue, CrossThreadDelivery) {
-  BlockingQueue<int> q;
-  std::thread producer([&] {
-    for (int i = 0; i < 1000; ++i) q.Push(i);
-    q.Close();
-  });
-  int expected = 0;
-  while (auto v = q.Pop()) {
-    EXPECT_EQ(*v, expected++);
-  }
-  EXPECT_EQ(expected, 1000);
-  producer.join();
-}
-
-TEST(BlockingQueue, SizeTracksContents) {
-  BlockingQueue<int> q;
-  EXPECT_EQ(q.size(), 0u);
-  q.Push(1);
-  q.Push(2);
-  EXPECT_EQ(q.size(), 2u);
-  (void)q.TryPop();
-  EXPECT_EQ(q.size(), 1u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "apps/dct/dct.h"
 #include "common/bytes.h"
 #include "dse/threaded_runtime.h"
+#include "tests/threaded_nodes.h"
 
 namespace dse::apps::dct {
 namespace {
@@ -176,7 +177,7 @@ TEST_P(DctEquivalence, ParallelMatchesSequential) {
   const Image img = MakeTestImage(c.width, c.height);
   const Image seq = CompressSequential(c, img, separable);
 
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = std::min(workers, 4)});
+  ThreadedRuntime rt(ThreadedNodes(std::min(workers, 4)));
   Register(rt.registry());
   const auto result = rt.RunMain(kMainTask, MakeArg(c));
   ByteReader r(result.data(), result.size());

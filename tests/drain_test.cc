@@ -190,8 +190,8 @@ ThreadedOptions DrainThreadedOptions() {
   o.rpc_deadline_ms = 60;
   o.rpc_max_attempts = 10;
   o.rpc_backoff_base_ms = 1;
-  o.heartbeat_period_ms = 20;   // the coordinator's tick drives the cutover
-  o.heartbeat_timeout_ms = 400;  // oracle-guarded (see recovery_test.cc)
+  o.heartbeat.period_ms = 20;   // the coordinator's tick drives the cutover
+  o.heartbeat.timeout_ms = 400;  // oracle-guarded (see recovery_test.cc)
   o.replication = 1;
   return o;
 }

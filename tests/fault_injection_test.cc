@@ -238,7 +238,7 @@ TEST(FaultThreaded, ReadsRetryThroughDrops) {
   o.rpc_deadline_ms = 50;
   o.rpc_max_attempts = 10;
   o.rpc_backoff_base_ms = 1;
-  o.heartbeat_period_ms = -1;  // pure loss, nobody dies: prober off
+  o.heartbeat.period_ms = -1;  // pure loss, nobody dies: prober off
   ThreadedRuntime rt(o);
 
   constexpr int kWords = 512;  // 4 KiB block homed away from the reader
@@ -284,7 +284,7 @@ TEST(FaultThreaded, DuplicatedWritesApplyExactlyOnce) {
   o.fault_plan.seed = 5;
   o.fault_plan.dup_p = 0.5;
   o.rpc_deadline_ms = 1000;  // dups need dedupe, not retries
-  o.heartbeat_period_ms = -1;
+  o.heartbeat.period_ms = -1;
   ThreadedRuntime rt(o);
 
   constexpr std::int64_t kIncrements = 64;
@@ -324,7 +324,7 @@ TEST(FaultThreaded, SeveredLinkSurfacesTimeoutNotHang) {
   o.rpc_deadline_ms = 50;
   o.rpc_max_attempts = 2;
   o.rpc_backoff_base_ms = 1;
-  o.heartbeat_period_ms = -1;  // no liveness verdict: the deadline must act
+  o.heartbeat.period_ms = -1;  // no liveness verdict: the deadline must act
   ThreadedRuntime rt(o);
 
   rt.registry().Register("main", [](Task& t) {
@@ -366,7 +366,7 @@ TEST(FaultThreaded, HeartbeatDeclaresKilledNodeDead) {
   o.rpc_deadline_ms = 100;
   o.rpc_max_attempts = 3;
   o.rpc_backoff_base_ms = 1;
-  o.heartbeat_period_ms = 20;  // timeout defaults to 5x = 100 ms
+  o.heartbeat.period_ms = 20;  // timeout defaults to 5x = 100 ms
   ThreadedRuntime rt(o);
 
   rt.registry().Register("main", [](Task& t) {

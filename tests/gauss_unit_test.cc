@@ -6,6 +6,7 @@
 #include "apps/gauss/gauss.h"
 #include "common/bytes.h"
 #include "dse/threaded_runtime.h"
+#include "tests/threaded_nodes.h"
 
 namespace dse::apps::gauss {
 namespace {
@@ -76,7 +77,7 @@ TEST_P(GaussWorkerSweep, ParallelDeterministicAndConvergent) {
 
   auto run = [&] {
     ThreadedRuntime rt(
-        ThreadedOptions{.num_nodes = std::min(workers, 4)});
+        ThreadedNodes(std::min(workers, 4)));
     Register(rt.registry());
     return rt.RunMain(kMainTask, MakeArg(c));
   };
@@ -118,7 +119,7 @@ class GaussConvergenceWorkers : public ::testing::TestWithParam<int> {};
 TEST_P(GaussConvergenceWorkers, ParallelTerminatesAndConverges) {
   const int workers = GetParam();
   Config c{.n = 60, .sweeps = 200, .workers = workers, .tolerance = 1e-8};
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = std::min(workers, 4)});
+  ThreadedRuntime rt(ThreadedNodes(std::min(workers, 4)));
   Register(rt.registry());
   const auto result = rt.RunMain(kMainTask, MakeArg(c));
 
@@ -142,7 +143,7 @@ TEST(GaussConvergence, SingleWorkerMatchesSequentialSweepCount) {
   int seq_sweeps = 0;
   const auto seq = SolveSequential(c, &seq_sweeps);
 
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 2});
+  ThreadedRuntime rt(ThreadedNodes(2));
   Register(rt.registry());
   const auto result = rt.RunMain(kMainTask, MakeArg(c));
   ByteReader r(result.data(), result.size());
@@ -159,8 +160,9 @@ TEST(GaussConvergence, SingleWorkerMatchesSequentialSweepCount) {
 TEST(GaussParallel, CacheOnMatchesCacheOff) {
   Config c{.n = 48, .sweeps = 8, .workers = 3};
   auto run = [&](bool cache) {
-    ThreadedRuntime rt(
-        ThreadedOptions{.num_nodes = 3, .read_cache = cache});
+    ThreadedOptions opts = ThreadedNodes(3);
+    opts.read_cache = cache;
+    ThreadedRuntime rt(opts);
     Register(rt.registry());
     return rt.RunMain(kMainTask, MakeArg(c));
   };

@@ -6,6 +6,7 @@
 #include "apps/knight/knight.h"
 #include "common/bytes.h"
 #include "dse/threaded_runtime.h"
+#include "tests/threaded_nodes.h"
 
 namespace dse::apps::knight {
 namespace {
@@ -81,7 +82,7 @@ TEST(KnightParallel, WorkerSweepMatches) {
   const auto whole = CountWholeTree(5, 0);
   for (const int workers : {2, 5}) {
     Config c{.board = 5, .start = 0, .target_jobs = 16, .workers = workers};
-    ThreadedRuntime rt(ThreadedOptions{.num_nodes = std::min(workers, 4)});
+    ThreadedRuntime rt(ThreadedNodes(std::min(workers, 4)));
     Register(rt.registry());
     const auto result = rt.RunMain(kMainTask, MakeArg(c));
     ByteReader r(result.data(), result.size());

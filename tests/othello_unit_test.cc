@@ -4,6 +4,7 @@
 #include "apps/othello/othello.h"
 #include "common/bytes.h"
 #include "dse/threaded_runtime.h"
+#include "tests/threaded_nodes.h"
 
 namespace dse::apps::othello {
 namespace {
@@ -169,7 +170,7 @@ TEST(OthelloParallel, WorkerCountInvariant) {
   std::vector<std::vector<std::uint8_t>> results;
   for (const int workers : {1, 2, 4}) {
     Config c{.depth = 5, .workers = workers, .min_tasks = 12};
-    ThreadedRuntime rt(ThreadedOptions{.num_nodes = std::min(workers, 4)});
+    ThreadedRuntime rt(ThreadedNodes(std::min(workers, 4)));
     Register(rt.registry());
     results.push_back(rt.RunMain(kMainTask, MakeArg(c)));
   }

@@ -1,7 +1,10 @@
 // ProcessRuntime over real TCP: several "node processes" hosted on threads
 // of this test binary (distinct endpoints, same semantics as separate UNIX
 // processes — the tcp_cluster example exercises the fork/exec shape).
+#include <chrono>
+#include <map>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -99,8 +102,10 @@ TEST(ProcessRuntime, CoherentCachingOverTcp) {
   // must invalidate this process's cached copy.
   const int n = 2;
   const auto nodes = ReservePorts(n);
+  ProcessOptions cached;
+  cached.read_cache = true;
   std::thread worker([&] {
-    auto rt = ProcessRuntime::Create(1, nodes, {.read_cache = true}).value();
+    auto rt = ProcessRuntime::Create(1, nodes, cached).value();
     rt->registry().Register("writer", [](Task& t) {
       ByteReader r(t.arg().data(), t.arg().size());
       std::uint64_t addr = 0;
@@ -110,7 +115,7 @@ TEST(ProcessRuntime, CoherentCachingOverTcp) {
     rt->ServeUntilShutdown();
   });
 
-  auto master = ProcessRuntime::Create(0, nodes, {.read_cache = true}).value();
+  auto master = ProcessRuntime::Create(0, nodes, cached).value();
   master->registry().Register("writer", [](Task&) {});
   master->registry().Register("main", [](Task& t) {
     auto addr = t.AllocOnNode(8, 1).value();
@@ -128,18 +133,17 @@ TEST(ProcessRuntime, CoherentCachingOverTcp) {
 TEST(ProcessRuntime, PipelinedTransfersOverTcp) {
   const int n = 3;
   const auto nodes = ReservePorts(n);
+  ProcessOptions pipelined;
+  pipelined.pipelined_transfers = true;
   std::vector<std::thread> workers;
   for (int i = 1; i < n; ++i) {
     workers.emplace_back([&, i] {
-      auto rt = ProcessRuntime::Create(i, nodes,
-                                       {.pipelined_transfers = true})
-                    .value();
+      auto rt = ProcessRuntime::Create(i, nodes, pipelined).value();
       RegisterCluster(rt->registry());
       rt->ServeUntilShutdown();
     });
   }
-  auto master =
-      ProcessRuntime::Create(0, nodes, {.pipelined_transfers = true}).value();
+  auto master = ProcessRuntime::Create(0, nodes, pipelined).value();
   master->registry().Register("main", [](Task& t) {
     auto addr = t.AllocStriped(6 * 1024, 10).value();  // chunks on 3 homes
     std::vector<std::uint8_t> data(6 * 1024);
@@ -155,10 +159,56 @@ TEST(ProcessRuntime, PipelinedTransfersOverTcp) {
   for (auto& w : workers) w.join();
 }
 
+TEST(ProcessRuntime, SchedulerServesJobsOverTcp) {
+  // The serving front door over the TCP mesh: node 0 hosts the scheduler
+  // and a submitted two-member gang runs to completion.
+  const int n = 2;
+  const auto nodes = ReservePorts(n);
+  ProcessOptions serving;
+  serving.sched.enabled = true;
+  const auto register_job = [](TaskRegistry& registry) {
+    registry.Register("job", [](Task& t) {
+      ByteReader r(t.arg().data(), t.arg().size());
+      std::uint64_t cell = 0;
+      DSE_CHECK_OK(r.ReadU64(&cell));
+      (void)t.AtomicFetchAdd(cell, 1);
+    });
+  };
+  std::thread worker([&] {
+    auto rt = ProcessRuntime::Create(1, nodes, serving).value();
+    register_job(rt->registry());
+    rt->ServeUntilShutdown();
+  });
+
+  auto master = ProcessRuntime::Create(0, nodes, serving).value();
+  register_job(master->registry());
+  master->registry().Register("main", [](Task& t) {
+    const auto cell = t.AllocOnNode(8, 1).value();
+    ByteWriter w;
+    w.WriteU64(cell);
+    ASSERT_TRUE(t.SubmitJob(/*tenant=*/0, "job", w.TakeBuffer(), 2).ok());
+    std::map<std::string, std::uint64_t> ledger;
+    for (int polls = 0;
+         ledger["sched.completed"] + ledger["sched.failed"] < 1; ++polls) {
+      ASSERT_LT(polls, 10000) << "the job never finished";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      auto stat = t.SchedStat();
+      ASSERT_TRUE(stat.ok());
+      ledger = *stat;
+    }
+    EXPECT_EQ(ledger["sched.completed"], 1u);
+    EXPECT_EQ(t.ReadValue<std::int64_t>(cell), 2);  // both members ran
+  });
+  (void)master->RunMainAndShutdown("main", {});
+  worker.join();
+}
+
 TEST(ProcessRuntime, RendezvousTimesOutWithoutPeers) {
   const auto nodes = ReservePorts(3);
   // Node 2 initiates to 0 and 1, which never come up.
-  const auto rt = ProcessRuntime::Create(2, nodes, {.connect_timeout_ms = 200});
+  ProcessOptions impatient;
+  impatient.connect_timeout_ms = 200;
+  const auto rt = ProcessRuntime::Create(2, nodes, impatient);
   EXPECT_FALSE(rt.ok());
   EXPECT_EQ(rt.status().code(), ErrorCode::kUnavailable);
 }

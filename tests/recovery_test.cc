@@ -310,8 +310,8 @@ ThreadedOptions RecoveryThreadedOptions(std::uint64_t kill_at) {
   // the timer instead of manufacturing a false eviction, which would be an
   // extra concurrent node death outside the f=1-over-time contract these
   // tests verify.
-  o.heartbeat_period_ms = 20;
-  o.heartbeat_timeout_ms = 400;
+  o.heartbeat.period_ms = 20;
+  o.heartbeat.timeout_ms = 400;
   o.replication = 1;
   return o;
 }
@@ -698,7 +698,7 @@ TEST(RecoveryThreaded, TwoSequentialDeathsWithReReplicationBetween) {
   o.rpc_deadline_ms = 60;
   // The per-call retry budget must outlast the liveness window below: a
   // call to the dying node keeps retrying until the eviction sweep fails
-  // it over, so attempts * deadline (+ backoffs) > heartbeat_timeout_ms or
+  // it over, so attempts * deadline (+ backoffs) > heartbeat.timeout_ms or
   // the call times out before failover can rescue it.
   o.rpc_max_attempts = 40;
   o.rpc_backoff_base_ms = 1;
@@ -711,8 +711,8 @@ TEST(RecoveryThreaded, TwoSequentialDeathsWithReReplicationBetween) {
   // liveness oracle (on by default) is what makes the standard window safe
   // at any load: only injector-confirmed kills latch, so starved sender
   // threads can never masquerade as a concurrent death.
-  o.heartbeat_period_ms = 20;
-  o.heartbeat_timeout_ms = 400;
+  o.heartbeat.period_ms = 20;
+  o.heartbeat.timeout_ms = 400;
   o.replication = 1;
   ThreadedRuntime rt(o);
 
@@ -774,8 +774,8 @@ TEST(RecoveryThreaded, SeveredMinorityParksInsteadOfForking) {
   o.rpc_deadline_ms = 60;
   o.rpc_max_attempts = 10;
   o.rpc_backoff_base_ms = 1;
-  o.heartbeat_period_ms = 20;
-  o.heartbeat_timeout_ms = 400;  // oracle-guarded (see options above)
+  o.heartbeat.period_ms = 20;
+  o.heartbeat.timeout_ms = 400;  // oracle-guarded (see options above)
   o.replication = 1;
   ThreadedRuntime rt(o);
 
@@ -829,8 +829,8 @@ TEST(RecoveryThreaded, SymmetricPartitionParksAndResumesAfterHeal) {
   o.rpc_deadline_ms = 60;
   o.rpc_max_attempts = 10;
   o.rpc_backoff_base_ms = 1;
-  o.heartbeat_period_ms = 20;
-  o.heartbeat_timeout_ms = 400;  // oracle-guarded (see options above)
+  o.heartbeat.period_ms = 20;
+  o.heartbeat.timeout_ms = 400;  // oracle-guarded (see options above)
   o.replication = 1;
   ThreadedRuntime rt(o);
 
@@ -867,8 +867,8 @@ TEST(RecoveryThreaded, EvictedNodeRejoinsAndServesAgain) {
   o.rpc_deadline_ms = 60;
   o.rpc_max_attempts = 10;
   o.rpc_backoff_base_ms = 1;
-  o.heartbeat_period_ms = 20;
-  o.heartbeat_timeout_ms = 400;  // oracle-guarded (see options above)
+  o.heartbeat.period_ms = 20;
+  o.heartbeat.timeout_ms = 400;  // oracle-guarded (see options above)
   o.replication = 1;
   ThreadedRuntime rt(o);
 

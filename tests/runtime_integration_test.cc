@@ -10,13 +10,21 @@
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "dse/threaded_runtime.h"
+#include "tests/threaded_nodes.h"
 
 namespace dse {
 namespace {
 
+// Options for `nodes` nodes with the read cache on or off.
+ThreadedOptions WithCache(int nodes, bool cache) {
+  ThreadedOptions opts = ThreadedNodes(nodes);
+  opts.read_cache = cache;
+  return opts;
+}
+
 // Runs `fn` as the main task of a fresh runtime.
 void RunMain(int nodes, bool cache, std::function<void(Task&)> fn) {
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = nodes, .read_cache = cache});
+  ThreadedRuntime rt(WithCache(nodes, cache));
   rt.registry().Register("test.main", std::move(fn));
   rt.RunMain("test.main");
 }
@@ -81,7 +89,7 @@ TEST(RuntimeGm, DistinctAllocationsAreDisjoint) {
 
 TEST(RuntimeGm, AtomicContention) {
   // 4 workers x 200 increments must land exactly.
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 4});
+  ThreadedRuntime rt(ThreadedNodes(4));
   rt.registry().Register("inc", [](Task& t) {
     ByteReader r(t.arg().data(), t.arg().size());
     std::uint64_t counter = 0;
@@ -107,7 +115,7 @@ TEST(RuntimeGm, AtomicContention) {
 TEST(RuntimeSync, LockGivesMutualExclusion) {
   // Workers do read-modify-write under a lock; without mutual exclusion the
   // lost-update race would drop increments.
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 4});
+  ThreadedRuntime rt(ThreadedNodes(4));
   rt.registry().Register("rmw", [](Task& t) {
     ByteReader r(t.arg().data(), t.arg().size());
     std::uint64_t cell = 0;
@@ -136,7 +144,7 @@ TEST(RuntimeSync, LockGivesMutualExclusion) {
 TEST(RuntimeSync, BarrierSeparatesPhases) {
   // Phase 1: everyone writes its slot. Barrier. Phase 2: everyone reads all
   // slots — must see every phase-1 write.
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 4});
+  ThreadedRuntime rt(ThreadedNodes(4));
   rt.registry().Register("phased", [](Task& t) {
     ByteReader r(t.arg().data(), t.arg().size());
     std::uint64_t base = 0;
@@ -185,7 +193,7 @@ TEST(RuntimeSsi, JoinUnknownGpidFails) {
 }
 
 TEST(RuntimeSsi, JoinTwiceReturnsSameResult) {
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 2});
+  ThreadedRuntime rt(ThreadedNodes(2));
   rt.registry().Register("answer", [](Task& t) {
     ByteWriter w;
     w.WriteI64(42);
@@ -201,7 +209,7 @@ TEST(RuntimeSsi, JoinTwiceReturnsSameResult) {
 }
 
 TEST(RuntimeSsi, SpawnPlacementHonorsHint) {
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 3});
+  ThreadedRuntime rt(ThreadedNodes(3));
   rt.registry().Register("where", [](Task& t) {
     ByteWriter w;
     w.WriteI32(t.node());
@@ -222,7 +230,7 @@ TEST(RuntimeSsi, SpawnPlacementHonorsHint) {
 }
 
 TEST(RuntimeSsi, NestedSpawn) {
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 3});
+  ThreadedRuntime rt(ThreadedNodes(3));
   rt.registry().Register("leaf", [](Task& t) {
     ByteWriter w;
     w.WriteI64(t.node() * 10);
@@ -252,8 +260,7 @@ class CoherenceStress : public ::testing::TestWithParam<int> {};
 
 TEST_P(CoherenceStress, CachedReadsNeverStale) {
   const int nodes = GetParam();
-  ThreadedRuntime rt(
-      ThreadedOptions{.num_nodes = nodes, .read_cache = true});
+  ThreadedRuntime rt(WithCache(nodes, true));
 
   constexpr int kSlots = 32;
   static std::atomic<std::int64_t> reference[kSlots];
@@ -300,7 +307,7 @@ TEST_P(CoherenceStress, CachedReadsNeverStale) {
 INSTANTIATE_TEST_SUITE_P(Nodes, CoherenceStress, ::testing::Values(2, 3, 5));
 
 TEST(RuntimeCache, RepeatedReadsHitCache) {
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 2, .read_cache = true});
+  ThreadedRuntime rt(WithCache(2, true));
   rt.registry().Register("main", [](Task& t) {
     auto addr = t.AllocOnNode(64, 1).value();
     std::uint8_t buf[64];
@@ -313,7 +320,7 @@ TEST(RuntimeCache, RepeatedReadsHitCache) {
 }
 
 TEST(RuntimeCache, WriteInvalidatesRemoteCache) {
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 3, .read_cache = true});
+  ThreadedRuntime rt(WithCache(3, true));
   rt.registry().Register("writer", [](Task& t) {
     ByteReader r(t.arg().data(), t.arg().size());
     std::uint64_t addr = 0;
@@ -343,7 +350,7 @@ TEST(RuntimeCache, WriteInvalidatesRemoteCache) {
 // published version under the lock and never an older one outside it.
 TEST(RuntimeCache, InlineFillsNeverServeAVersionOlderThanReleased) {
   constexpr int kRounds = 300;
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 3, .read_cache = true});
+  ThreadedRuntime rt(WithCache(3, true));
 
   auto args = [](std::uint64_t data, std::uint64_t pub) {
     ByteWriter w;
@@ -424,7 +431,7 @@ TEST(RuntimeSsi, NameServicePublishLookup) {
 TEST(RuntimeSsi, NameRendezvousAcrossNodes) {
   // A producer publishes a buffer under a name; a consumer on another node
   // discovers it purely by name — no address passed through spawn args.
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 3});
+  ThreadedRuntime rt(ThreadedNodes(3));
   rt.registry().Register("producer", [](Task& t) {
     auto addr = t.AllocOnNode(8, t.node()).value();
     t.WriteValue<std::int64_t>(addr, 4242);
@@ -444,7 +451,7 @@ TEST(RuntimeSsi, NameRendezvousAcrossNodes) {
 }
 
 TEST(RuntimeSsi, LeastLoadedPlacementAvoidsBusyNodes) {
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 4});
+  ThreadedRuntime rt(ThreadedNodes(4));
   rt.registry().Register("camper", [](Task& t) {
     // Stays alive until main (the 5th party) releases the barrier.
     (void)t.Barrier(77, 5);
@@ -483,7 +490,7 @@ TEST(RuntimeSsi, LeastLoadedPlacementAvoidsBusyNodes) {
 }
 
 TEST(RuntimeStats, GmmCountersAdvance) {
-  ThreadedRuntime rt(ThreadedOptions{.num_nodes = 2});
+  ThreadedRuntime rt(ThreadedNodes(2));
   rt.registry().Register("main", [](Task& t) {
     auto addr = t.AllocOnNode(64, 1).value();
     std::uint8_t b[8] = {1};

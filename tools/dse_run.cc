@@ -31,7 +31,6 @@
 //                            bus = the paper's shared CSMA/CD Ethernet,
 //                            switched = ideal per-port switch, fabric =
 //                            routed multi-hop fabric (docs/interconnect.md)
-//   --switched               deprecated alias for --medium switched
 //   --topology SPEC          fabric topology: ring:N | mesh:AxB | torus:AxB
 //                            | fattree:K | auto (default auto; requires
 //                            --medium fabric)
@@ -76,9 +75,11 @@
 //   --stats-csv [FILE]       same data as CSV long format
 //   --ps                     cluster-wide process listing after the run
 //   --list-tasks             print the workload's registered task names
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -132,6 +133,24 @@ class Flags {
   double Double(const std::string& key, double def) const {
     const auto it = values_.find(key);
     return it == values_.end() ? def : std::atof(it->second.c_str());
+  }
+
+  // Reads integer flag `key` into *out when it was given. Exits 2 unless the
+  // value is an integer in [lo, hi]: "--key must be <must_be> (got
+  // '<value>'<note>)".
+  void IntInRange(const std::string& key, long lo, long hi,
+                  const char* must_be, int* out, const char* note = "") const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return;
+    const std::string& raw = it->second;
+    char* end = nullptr;
+    const long parsed = std::strtol(raw.c_str(), &end, 10);
+    if (raw.empty() || *end != '\0' || parsed < lo || parsed > hi) {
+      std::fprintf(stderr, "--%s must be %s (got '%s'%s)\n", key.c_str(),
+                   must_be, raw.c_str(), note);
+      std::exit(2);
+    }
+    *out = static_cast<int>(parsed);
   }
 
   // Fails with a list of every flag this invocation does not understand —
@@ -359,6 +378,50 @@ int EmitIntrospection(const Flags& flags,
   return 0;
 }
 
+// The nodes of a `procs`-node run that the plan's permanent kills (no
+// revive) spare.
+std::vector<NodeId> PermanentSurvivors(const net::FaultPlan& plan,
+                                       int procs) {
+  std::set<NodeId> dead;
+  for (const auto& kill : plan.kills) {
+    if (kill.node >= 0 && kill.node < procs && kill.revive < 0) {
+      dead.insert(kill.node);
+    }
+  }
+  std::vector<NodeId> alive;
+  for (NodeId n = 0; n < procs; ++n) {
+    if (dead.count(n) == 0) alive.push_back(n);
+  }
+  return alive;
+}
+
+// The size of the largest set of `nodes` that can reach each other, where
+// `linked(a, b)` says whether a and b are directly reachable.
+size_t LargestComponent(const std::vector<NodeId>& nodes,
+                        const std::function<bool(NodeId, NodeId)>& linked) {
+  size_t largest = 0;
+  std::set<NodeId> seen;
+  for (NodeId root : nodes) {
+    if (seen.count(root) != 0) continue;
+    std::vector<NodeId> stack = {root};
+    seen.insert(root);
+    size_t size = 0;
+    while (!stack.empty()) {
+      const NodeId cur = stack.back();
+      stack.pop_back();
+      ++size;
+      for (NodeId next : nodes) {
+        if (seen.count(next) == 0 && linked(cur, next)) {
+          seen.insert(next);
+          stack.push_back(next);
+        }
+      }
+    }
+    largest = std::max(largest, size);
+  }
+  return largest;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -380,12 +443,13 @@ int main(int argc, char** argv) {
   Workload workload = BuildWorkload(app, flags, procs);
 
   std::vector<std::string> known = {
-      "mode",  "platform", "procs",      "cache",     "legacy",
-      "switched", "trace", "machines",   "stats",     "stats-json",
-      "stats-csv", "ps",   "list-tasks", "help",      "batch",
-      "prefetch", "write-combine", "fault-plan", "rpc-deadline-ms",
-      "replication", "restart-tasks", "min-quorum", "rejoin", "rolling",
-      "medium", "topology", "link-bw", "link-lat", "vc"};
+      "mode",       "platform",   "procs",         "cache",
+      "legacy",     "trace",      "machines",      "stats",
+      "stats-json", "stats-csv",  "ps",            "list-tasks",
+      "help",       "batch",      "prefetch",      "write-combine",
+      "fault-plan", "rpc-deadline-ms", "replication", "restart-tasks",
+      "min-quorum", "rejoin",     "rolling",       "medium",
+      "topology",   "link-bw",    "link-lat",      "vc"};
   known.insert(known.end(), workload.flags.begin(), workload.flags.end());
   flags.RejectUnknown(known);
 
@@ -402,14 +466,16 @@ int main(int argc, char** argv) {
 
   // GMM fast-path knobs (shared by both modes). --prefetch implies --cache:
   // the read-ahead lands in the client read cache.
-  const bool batching = flags.Has("batch");
-  const int prefetch_depth = flags.Int("prefetch", 0);
-  if (prefetch_depth < 0) {
-    std::fprintf(stderr, "--prefetch must be >= 0 (got %d)\n", prefetch_depth);
+  ClusterOptions cluster;
+  cluster.batching = flags.Has("batch");
+  cluster.prefetch_depth = flags.Int("prefetch", 0);
+  if (cluster.prefetch_depth < 0) {
+    std::fprintf(stderr, "--prefetch must be >= 0 (got %d)\n",
+                 cluster.prefetch_depth);
     return 2;
   }
-  const bool write_combine = flags.Has("write-combine");
-  const bool cache = flags.Has("cache") || prefetch_depth > 0;
+  cluster.write_combine = flags.Has("write-combine");
+  cluster.read_cache = flags.Has("cache") || cluster.prefetch_depth > 0;
 
   // Fault injection + data-plane deadline (strictly validated: a malformed
   // plan or a nonsense deadline must not silently run fault-free).
@@ -428,20 +494,9 @@ int main(int argc, char** argv) {
     }
     fault_plan = std::move(*plan);
   }
-  int rpc_deadline_ms = 10000;
-  if (flags.Has("rpc-deadline-ms")) {
-    const std::string raw = flags.Str("rpc-deadline-ms", "");
-    char* end = nullptr;
-    const long parsed = std::strtol(raw.c_str(), &end, 10);
-    if (raw.empty() || end == nullptr || *end != '\0' || parsed < 0) {
-      std::fprintf(stderr,
-                   "--rpc-deadline-ms must be an integer >= 0 (got '%s')\n",
-                   raw.c_str());
-      return 2;
-    }
-    rpc_deadline_ms = static_cast<int>(parsed);
-  }
-  if (fault_plan.enabled() && rpc_deadline_ms == 0) {
+  flags.IntInRange("rpc-deadline-ms", 0, INT_MAX, "an integer >= 0",
+                   &cluster.rpc_deadline_ms);
+  if (fault_plan.enabled() && cluster.rpc_deadline_ms == 0) {
     std::fprintf(stderr,
                  "--fault-plan requires a finite --rpc-deadline-ms (> 0): "
                  "lost frames would hang the run forever\n");
@@ -452,21 +507,9 @@ int main(int argc, char** argv) {
   // tolerates f = 1, so anything but 0 or 1 replicas is a lie we refuse to
   // tell, and --restart-tasks is meaningless without the evictions that
   // replication enables.
-  int replication = 0;
-  if (flags.Has("replication")) {
-    const std::string raw = flags.Str("replication", "");
-    char* end = nullptr;
-    const long parsed = std::strtol(raw.c_str(), &end, 10);
-    if (raw.empty() || end == nullptr || *end != '\0' ||
-        (parsed != 0 && parsed != 1)) {
-      std::fprintf(stderr, "--replication must be 0 or 1 (got '%s')\n",
-                   raw.c_str());
-      return 2;
-    }
-    replication = static_cast<int>(parsed);
-  }
-  const bool restart_tasks = flags.Has("restart-tasks");
-  if (restart_tasks && replication != 1) {
+  flags.IntInRange("replication", 0, 1, "0 or 1", &cluster.replication);
+  cluster.restart_tasks = flags.Has("restart-tasks");
+  if (cluster.restart_tasks && cluster.replication != 1) {
     std::fprintf(stderr,
                  "--restart-tasks requires --replication 1: without "
                  "replication nodes are never evicted, so a task on a dead "
@@ -476,28 +519,17 @@ int main(int argc, char** argv) {
 
   // Self-healing membership knobs (docs/recovery.md). Both only mean
   // anything with the evictions that replication enables.
-  int min_quorum = 0;
-  if (flags.Has("min-quorum")) {
-    const std::string raw = flags.Str("min-quorum", "");
-    char* end = nullptr;
-    const long parsed = std::strtol(raw.c_str(), &end, 10);
-    if (raw.empty() || end == nullptr || *end != '\0' || parsed < 0 ||
-        parsed > procs) {
-      std::fprintf(stderr,
-                   "--min-quorum must be an integer in [0, %d] (got '%s'; "
-                   "0 = strict majority of the current membership)\n",
-                   procs, raw.c_str());
-      return 2;
-    }
-    if (replication != 1) {
-      std::fprintf(stderr,
-                   "--min-quorum requires --replication 1: without "
-                   "replication there are no evictions to guard\n");
-      return 2;
-    }
-    min_quorum = static_cast<int>(parsed);
+  const std::string quorum_range = "an integer in [0, " +
+                                   std::to_string(procs) + "]";
+  flags.IntInRange("min-quorum", 0, procs, quorum_range.c_str(),
+                   &cluster.min_quorum,
+                   "; 0 = strict majority of the current membership");
+  if (flags.Has("min-quorum") && cluster.replication != 1) {
+    std::fprintf(stderr,
+                 "--min-quorum requires --replication 1: without "
+                 "replication there are no evictions to guard\n");
+    return 2;
   }
-  bool rejoin = true;
   if (flags.Has("rejoin")) {
     const std::string raw = flags.Str("rejoin", "");
     if (raw != "0" && raw != "1") {
@@ -505,19 +537,24 @@ int main(int argc, char** argv) {
                    raw.c_str());
       return 2;
     }
-    if (replication != 1) {
+    if (cluster.replication != 1) {
       std::fprintf(stderr,
                    "--rejoin requires --replication 1: without replication "
                    "nodes are never evicted, so there is nothing to rejoin\n");
       return 2;
     }
-    rejoin = raw == "1";
+    cluster.rejoin = raw == "1";
   }
+
+  // Members an eviction out of `membership` members needs.
+  const auto quorum = [&cluster](int membership) {
+    return cluster.min_quorum > 0 ? cluster.min_quorum : membership / 2 + 1;
+  };
 
   // Scheduler sizing (serving app only; docs/scheduling.md). The flags are
   // app-specific so RejectUnknown already refused them for other apps.
-  sched::Config sched_cfg;
   if (app == "serving") {
+    sched::Config& sched_cfg = cluster.sched;
     sched_cfg.enabled = true;
     sched_cfg.slots_per_node = flags.Int("slots", 8);
     sched_cfg.tenant_quota = flags.Int("quota", 4);
@@ -531,9 +568,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Interconnect medium (sim only): a validated enum, with the old boolean
-  // --switched kept as a deprecated alias.
-  std::string medium_name = flags.Str("medium", "bus");
+  // Interconnect medium (sim only): a validated enum.
+  const std::string medium_name = flags.Str("medium", "bus");
   if (flags.Has("medium") && medium_name != "bus" &&
       medium_name != "switched" && medium_name != "fabric") {
     std::fprintf(stderr, "--medium must be one of bus|switched|fabric "
@@ -541,19 +577,6 @@ int main(int argc, char** argv) {
                  medium_name.c_str());
     return 2;
   }
-  if (flags.Has("switched")) {
-    if (flags.Has("medium") && medium_name != "switched") {
-      std::fprintf(stderr,
-                   "--switched conflicts with --medium %s (drop the "
-                   "deprecated --switched)\n",
-                   medium_name.c_str());
-      return 2;
-    }
-    std::fprintf(stderr,
-                 "note: --switched is deprecated; use --medium switched\n");
-    medium_name = "switched";
-  }
-  const bool medium_flag_given = flags.Has("medium") || flags.Has("switched");
 
   // Fabric knobs: strictly validated and refused outright when the medium
   // is not the fabric (a silently ignored topology is a lie about the run).
@@ -598,84 +621,41 @@ int main(int argc, char** argv) {
     }
     fabric_opts.link_latency = sim::Micros(us);
   }
-  if (flags.Has("vc")) {
-    const std::string raw = flags.Str("vc", "");
-    char* end = nullptr;
-    const long parsed = std::strtol(raw.c_str(), &end, 10);
-    if (raw.empty() || end == nullptr || *end != '\0' || parsed < 1 ||
-        parsed > 16) {
-      std::fprintf(stderr, "--vc must be an integer in [1, 16] (got '%s')\n",
-                   raw.c_str());
-      return 2;
-    }
-    fabric_opts.vcs = static_cast<int>(parsed);
-  }
+  flags.IntInRange("vc", 1, 16, "an integer in [1, 16]", &fabric_opts.vcs);
 
   // Static quorum-attainability check: a plan whose *permanent* faults
   // (kills without revive, severs without heal) leave no reachable set of
   // at least quorum size would park the whole cluster forever — every call
   // failing over until its bounded failover budget errors out. Refuse it
   // up front with an explanation instead.
-  if (replication == 1 && fault_plan.enabled()) {
-    std::set<NodeId> perm_dead;
-    for (const auto& kill : fault_plan.kills) {
-      if (kill.node >= 0 && kill.node < procs && kill.revive < 0) {
-        perm_dead.insert(kill.node);
-      }
-    }
+  if (cluster.replication == 1 && fault_plan.enabled()) {
+    const std::vector<NodeId> alive = PermanentSurvivors(fault_plan, procs);
     // Sequential-kill feasibility under the default majority rule: each
     // eviction needs the surviving membership to still hold a quorum of the
     // membership it is leaving.
     bool unattainable = false;
     int membership = procs;
-    for (size_t i = 0; i < perm_dead.size(); ++i) {
-      const int survivors = membership - 1;
-      const int need = min_quorum > 0 ? min_quorum : membership / 2 + 1;
-      if (survivors < need) {
+    while (membership > static_cast<int>(alive.size())) {
+      if (membership - 1 < quorum(membership)) {
         unattainable = true;
         break;
       }
-      membership = survivors;
+      --membership;
     }
     // Permanent severs: the surviving nodes must keep one reachability
     // component of quorum size once every permanent cut is in force.
     if (!unattainable) {
-      std::vector<NodeId> alive;
-      for (NodeId n = 0; n < procs; ++n) {
-        if (perm_dead.count(n) == 0) alive.push_back(n);
-      }
-      auto cut = [&fault_plan](NodeId a, NodeId b) {
-        for (const auto& sv : fault_plan.severs) {
-          if (sv.heal >= 0) continue;
-          if ((sv.a == a && sv.b == b) || (sv.a == b && sv.b == a)) {
-            return true;
-          }
-        }
-        return false;
-      };
-      size_t largest = 0;
-      std::set<NodeId> seen;
-      for (NodeId root : alive) {
-        if (seen.count(root) != 0) continue;
-        std::vector<NodeId> stack = {root};
-        seen.insert(root);
-        size_t size = 0;
-        while (!stack.empty()) {
-          const NodeId cur = stack.back();
-          stack.pop_back();
-          ++size;
-          for (NodeId next : alive) {
-            if (seen.count(next) == 0 && !cut(cur, next)) {
-              seen.insert(next);
-              stack.push_back(next);
+      const size_t largest =
+          LargestComponent(alive, [&fault_plan](NodeId a, NodeId b) {
+            for (const auto& sv : fault_plan.severs) {
+              if (sv.heal >= 0) continue;
+              if ((sv.a == a && sv.b == b) || (sv.a == b && sv.b == a)) {
+                return false;
+              }
             }
-          }
-        }
-        largest = std::max(largest, size);
-      }
-      const int need =
-          min_quorum > 0 ? min_quorum : membership / 2 + 1;
-      if (static_cast<int>(largest) < need) unattainable = true;
+            return true;
+          });
+      if (static_cast<int>(largest) < quorum(membership)) unattainable = true;
     }
     if (unattainable) {
       std::fprintf(stderr,
@@ -684,7 +664,7 @@ int main(int argc, char** argv) {
                    "reachable set of %s members, so every node would park "
                    "(recovery.quorum_parks) and the run could never "
                    "converge — refuse instead of hanging\n",
-                   min_quorum > 0 ? "--min-quorum" : "majority");
+                   cluster.min_quorum > 0 ? "--min-quorum" : "majority");
       return 2;
     }
   }
@@ -693,7 +673,7 @@ int main(int argc, char** argv) {
   // never run its cutover would spin the maintenance cycle forever, so every
   // impossible schedule fails loudly here instead.
   if (!fault_plan.drains.empty()) {
-    if (replication != 1) {
+    if (cluster.replication != 1) {
       std::fprintf(stderr,
                    "--fault-plan has drain directives; they require "
                    "--replication 1: without replication there is no backup "
@@ -737,7 +717,7 @@ int main(int argc, char** argv) {
         }
       }
       const int survivors = procs - perm_dead - 1;
-      const int need = min_quorum > 0 ? min_quorum : procs / 2 + 1;
+      const int need = quorum(procs);
       if (survivors < need) {
         std::fprintf(stderr,
                      "--fault-plan drain of node %d would break quorum: the "
@@ -765,7 +745,7 @@ int main(int argc, char** argv) {
                    procs);
       return 2;
     }
-    if (replication == 1) {
+    if (cluster.replication == 1) {
       // Coordinator = lowest live rank; succession is implicit. Walk the
       // kills in schedule order and report each handover.
       std::set<NodeId> dead;
@@ -798,14 +778,14 @@ int main(int argc, char** argv) {
                    "maintenance cycle; it requires --mode sim\n");
       return 2;
     }
-    if (replication != 1) {
+    if (cluster.replication != 1) {
       std::fprintf(stderr,
                    "--rolling requires --replication 1: a rolling restart "
                    "hands each node's homes to its backup before the "
                    "restart\n");
       return 2;
     }
-    if (!rejoin) {
+    if (!cluster.rejoin) {
       std::fprintf(stderr,
                    "--rolling requires --rejoin 1: a restarted node must be "
                    "able to re-enter the membership\n");
@@ -814,25 +794,18 @@ int main(int argc, char** argv) {
   }
 
   if (mode == "threaded") {
-    if (medium_flag_given || fabric_knob_given) {
+    if (flags.Has("medium") || fabric_knob_given) {
       std::fprintf(stderr,
-                   "--medium/--switched and the fabric knobs model simulated "
+                   "--medium and the fabric knobs model simulated "
                    "interconnects; they require --mode sim (the threaded "
                    "runtime uses the real in-process fabric)\n");
       return 2;
     }
-    ThreadedRuntime rt(ThreadedOptions{.num_nodes = procs,
-                                       .read_cache = cache,
-                                       .batching = batching,
-                                       .prefetch_depth = prefetch_depth,
-                                       .write_combine = write_combine,
-                                       .fault_plan = fault_plan,
-                                       .rpc_deadline_ms = rpc_deadline_ms,
-                                       .replication = replication,
-                                       .restart_tasks = restart_tasks,
-                                       .min_quorum = min_quorum,
-                                       .rejoin = rejoin,
-                                       .sched = sched_cfg});
+    ThreadedOptions opts;
+    static_cast<ClusterOptions&>(opts) = cluster;
+    opts.num_nodes = procs;
+    opts.fault_plan = fault_plan;
+    ThreadedRuntime rt(opts);
     workload.register_fn(rt.registry());
     const auto result = rt.RunMain(workload.main_task, workload.arg);
     std::printf("%s | threaded %d nodes | %.1f ms wall | result %zu bytes\n",
@@ -847,19 +820,10 @@ int main(int argc, char** argv) {
   }
   if (mode == "sim") {
     SimOptions opts;
+    static_cast<ClusterOptions&>(opts) = cluster;
     opts.profile = ProfileOrDie(flags.Str("platform", "sunos"));
     opts.num_processors = procs;
-    opts.read_cache = cache;
-    opts.batching = batching;
-    opts.prefetch_depth = prefetch_depth;
-    opts.write_combine = write_combine;
     opts.fault_plan = fault_plan;
-    opts.rpc_deadline_ms = rpc_deadline_ms;
-    opts.replication = replication;
-    opts.restart_tasks = restart_tasks;
-    opts.min_quorum = min_quorum;
-    opts.rejoin = rejoin;
-    opts.sched = sched_cfg;
     opts.rolling = rolling;
     if (flags.Has("legacy")) {
       opts.organization = OrganizationMode::kLegacyTwoProcess;
@@ -934,45 +898,17 @@ int main(int argc, char** argv) {
       // Permanent fabric-link severs extend the quorum-attainability check:
       // if they partition the machines so that no reachable node set can
       // hold a quorum, the run would park forever — refuse instead.
-      if (replication == 1) {
+      if (cluster.replication == 1) {
         for (const auto& fs : fault_plan.fabric_links) {
           if (fs.heal < 0) (void)topo->SeverRouterLink(fs.a, fs.b);
         }
-        std::set<NodeId> perm_dead;
-        for (const auto& kill : fault_plan.kills) {
-          if (kill.node >= 0 && kill.node < procs && kill.revive < 0) {
-            perm_dead.insert(kill.node);
-          }
-        }
-        std::vector<NodeId> alive;
-        for (NodeId nd = 0; nd < procs; ++nd) {
-          if (perm_dead.count(nd) == 0) alive.push_back(nd);
-        }
-        size_t largest = 0;
-        std::set<NodeId> seen;
-        for (NodeId root : alive) {
-          if (seen.count(root) != 0) continue;
-          std::vector<NodeId> stack = {root};
-          seen.insert(root);
-          size_t size = 0;
-          while (!stack.empty()) {
-            const NodeId cur = stack.back();
-            stack.pop_back();
-            ++size;
-            for (NodeId next : alive) {
-              if (seen.count(next) == 0 &&
-                  topo->Reachable(cur % machine_count,
-                                  next % machine_count)) {
-                seen.insert(next);
-                stack.push_back(next);
-              }
-            }
-          }
-          largest = std::max(largest, size);
-        }
-        const int need = min_quorum > 0
-                             ? min_quorum
-                             : static_cast<int>(alive.size()) / 2 + 1;
+        const std::vector<NodeId> alive =
+            PermanentSurvivors(fault_plan, procs);
+        const size_t largest = LargestComponent(
+            alive, [&topo, machine_count](NodeId a, NodeId b) {
+              return topo->Reachable(a % machine_count, b % machine_count);
+            });
+        const int need = quorum(static_cast<int>(alive.size()));
         if (static_cast<int>(largest) < need) {
           std::fprintf(stderr,
                        "--fault-plan makes the eviction quorum permanently "
