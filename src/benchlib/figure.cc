@@ -142,13 +142,12 @@ double RunApp(const RunSpec& spec, void (*register_fn)(TaskRegistry&),
               const char* main_task, std::vector<std::uint8_t> arg,
               SimReport* report_out) {
   SimOptions opts;
+  static_cast<ClusterOptions&>(opts) = spec;
   opts.profile = spec.profile;
   if (spec.physical_machines > 0) {
     opts.profile.physical_machines = spec.physical_machines;
   }
   opts.num_processors = spec.processors;
-  opts.read_cache = spec.read_cache;
-  opts.batching = spec.batching;
   opts.organization = spec.organization;
   opts.medium = spec.medium;
   opts.fabric = spec.fabric;
@@ -158,6 +157,18 @@ double RunApp(const RunSpec& spec, void (*register_fn)(TaskRegistry&),
   if (report_out != nullptr) *report_out = report;
   return report.virtual_seconds;
 }
+
+namespace {
+
+// A run on the paper's testbed: `processors` kernels, every knob default.
+RunSpec PaperRun(const platform::Profile& profile, int processors) {
+  RunSpec spec;
+  spec.profile = profile;
+  spec.processors = processors;
+  return spec;
+}
+
+}  // namespace
 
 Figure GaussTimes(const platform::Profile& profile,
                   const std::vector<int>& dims, int sweeps,
@@ -172,8 +183,7 @@ Figure GaussTimes(const platform::Profile& profile,
     s.label = "N=" + std::to_string(n);
     for (const int p : processors) {
       apps::gauss::Config config{.n = n, .sweeps = sweeps, .workers = p};
-      RunSpec spec{.profile = profile, .processors = p};
-      s.values.push_back(RunApp(spec, apps::gauss::Register,
+      s.values.push_back(RunApp(PaperRun(profile, p), apps::gauss::Register,
                                 apps::gauss::kMainTask,
                                 apps::gauss::MakeArg(config)));
     }
@@ -199,8 +209,7 @@ Figure DctTimes(const platform::Profile& profile, int image,
                                .block = bs,
                                .keep_fraction = keep,
                                .workers = p};
-      RunSpec spec{.profile = profile, .processors = p};
-      s.values.push_back(RunApp(spec, apps::dct::Register,
+      s.values.push_back(RunApp(PaperRun(profile, p), apps::dct::Register,
                                 apps::dct::kMainTask,
                                 apps::dct::MakeArg(config)));
     }
@@ -225,8 +234,7 @@ Figure OthelloSpeedups(const platform::Profile& profile,
       // tree (same total work; only the distribution varies).
       apps::othello::Config config{
           .depth = depth, .workers = p, .min_tasks = 24};
-      RunSpec spec{.profile = profile, .processors = p};
-      s.values.push_back(RunApp(spec, apps::othello::Register,
+      s.values.push_back(RunApp(PaperRun(profile, p), apps::othello::Register,
                                 apps::othello::kMainTask,
                                 apps::othello::MakeArg(config)));
     }
@@ -249,8 +257,7 @@ Figure KnightTimes(const platform::Profile& profile, int board,
     for (const int p : processors) {
       apps::knight::Config config{
           .board = board, .start = 0, .target_jobs = jobs, .workers = p};
-      RunSpec spec{.profile = profile, .processors = p};
-      s.values.push_back(RunApp(spec, apps::knight::Register,
+      s.values.push_back(RunApp(PaperRun(profile, p), apps::knight::Register,
                                 apps::knight::kMainTask,
                                 apps::knight::MakeArg(config)));
     }
