@@ -129,6 +129,7 @@ class HomeMap {
     alive_[node] = false;
     if (new_epoch > epoch_) epoch_ = new_epoch;
     last_evicted_ = node;
+    last_admitted_ = -1;
     return true;
   }
 
@@ -141,19 +142,24 @@ class HomeMap {
     if (new_epoch <= epoch_) return false;
     alive_[node] = true;
     epoch_ = new_epoch;
-    if (last_evicted_ == node) last_evicted_ = -1;
+    last_evicted_ = -1;
+    last_admitted_ = node;
     return true;
   }
 
   // Installs a full membership view (the joiner's own catch-up from a
-  // NodeJoinResp — its local view is arbitrarily stale).
+  // NodeJoinResp — its local view is arbitrarily stale). A view older than
+  // ours (a duplicated or re-sent admission overtaken by a later change) is
+  // ignored: epochs only increase.
   void InstallView(const std::vector<std::uint8_t>& alive,
                    std::uint32_t new_epoch) {
+    if (new_epoch < epoch_) return;
     for (size_t i = 0; i < alive_.size() && i < alive.size(); ++i) {
       alive_[i] = alive[i] != 0;
     }
     epoch_ = new_epoch;
     last_evicted_ = -1;
+    last_admitted_ = -1;
   }
 
   std::vector<std::uint8_t> AliveBitmap() const {
@@ -199,13 +205,18 @@ class HomeMap {
     return -1;
   }
 
-  // Most recently evicted node (-1 if none) — piggybacked on RetryResp so a
-  // lagging peer can repair its map without waiting for the broadcast.
+  // The node the last membership change evicted or admitted (-1 for the
+  // other kind, and for both before any change or after InstallView). The
+  // eviction is piggybacked on RetryResp so a lagging peer can repair its
+  // map without waiting for the broadcast; a missed admission is re-sent
+  // whole (a NodeJoinResp).
   NodeId last_evicted() const { return last_evicted_; }
+  NodeId last_admitted() const { return last_admitted_; }
 
  private:
   std::uint32_t epoch_ = 0;
   NodeId last_evicted_ = -1;
+  NodeId last_admitted_ = -1;
   std::vector<bool> alive_;
 };
 

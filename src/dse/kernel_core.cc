@@ -150,6 +150,12 @@ NodeId KernelCore::LastEvicted() const {
   return home_map_.last_evicted();
 }
 
+std::optional<proto::Envelope> KernelCore::LastAdmission() const {
+  std::lock_guard<std::mutex> lock(route_mu_);
+  if (home_map_.last_admitted() < 0) return std::nullopt;
+  return MakeAdmission(home_map_.last_admitted(), home_map_.epoch());
+}
+
 KernelCore::Actions KernelCore::Handle(const proto::Envelope& env) {
   DSE_CHECK_MSG(!proto::IsClientResponse(env.type()),
                 "client response leaked into KernelCore::Handle");
@@ -221,6 +227,13 @@ KernelCore::Actions KernelCore::Handle(const proto::Envelope& env) {
     Actions actions;
     if (env.req_id != 0) {
       actions.out.push_back(Outgoing{env.src_node, MakeRetryResp(env)});
+    }
+    // A lagging sender adopts a missed eviction from the RetryResp; a missed
+    // admission does not fit in one, so it goes along whole.
+    if (env.epoch < epoch()) {
+      if (auto admission = LastAdmission()) {
+        actions.out.push_back(Outgoing{env.src_node, std::move(*admission)});
+      }
     }
     return actions;
   }
@@ -780,6 +793,20 @@ void KernelCore::RecordShadowResponse(NodeId primary, NodeId dst,
   }
 }
 
+proto::Envelope KernelCore::MakeAdmission(NodeId node,
+                                          std::uint32_t epoch) const {
+  proto::NodeJoinResp resp;
+  resp.node = node;
+  resp.epoch = epoch;
+  resp.alive = home_map_.AliveBitmap();
+  proto::Envelope e;
+  e.req_id = 0;
+  e.src_node = self_;
+  e.epoch = epoch;
+  e.body = std::move(resp);
+  return e;
+}
+
 proto::Envelope KernelCore::MakeRetryResp(const proto::Envelope& req) const {
   proto::Envelope e;
   e.req_id = req.req_id;
@@ -1251,19 +1278,8 @@ void KernelCore::HandleNodeJoinReq(const proto::Envelope& env,
     cur_epoch = home_map_.epoch();
   }
   const auto respond = [&](std::uint32_t e, NodeId dst) {
-    proto::NodeJoinResp resp;
-    resp.node = node;
-    resp.epoch = e;
-    {
-      std::lock_guard<std::mutex> lock(route_mu_);
-      resp.alive = home_map_.AliveBitmap();
-    }
-    proto::Envelope out;
-    out.req_id = 0;
-    out.src_node = self_;
-    out.epoch = e;
-    out.body = std::move(resp);
-    actions->out.push_back(Outgoing{dst, std::move(out)});
+    std::lock_guard<std::mutex> lock(route_mu_);
+    actions->out.push_back(Outgoing{dst, MakeAdmission(node, e)});
   };
   if (already_member) {
     // Duplicate join (our broadcast raced the retry): re-send the admission
@@ -1307,11 +1323,23 @@ void KernelCore::HandleNodeJoinResp(const proto::Envelope& env,
     home_map_.InstallView(resp.alive, resp.epoch);
     return;
   }
+  bool missed_eviction = false;
+  {
+    std::lock_guard<std::mutex> lock(route_mu_);
+    if (resp.epoch <= home_map_.epoch()) return;  // duplicate or stale
+    missed_eviction = home_map_.IsAlive(node);
+  }
+  if (missed_eviction) {
+    // Every admission follows an eviction. Still counting the node alive
+    // under an older epoch means its EvictReq was lost (the coordinator
+    // stops re-announcing once the node is back): apply the eviction first,
+    // so the wiped joiner is re-seeded like any new backup.
+    actions->Append(ApplyEviction(node, resp.epoch - 1));
+  }
   NodeId prior_holder = -1;
   NodeId prior_backup = -1;
   {
     std::lock_guard<std::mutex> lock(route_mu_);
-    if (home_map_.IsAlive(node)) return;  // duplicate broadcast
     prior_holder = home_map_.Route(node);
     prior_backup = home_map_.BackupOf(self_);
     if (!home_map_.Admit(node, resp.epoch)) return;
@@ -1709,6 +1737,7 @@ MetricsSnapshot KernelCore::StatsSnapshot() const {
   put("dsm.cache_invalidated", stats_.cache_invalidated);
   put("ssi.names_published", ssi_.name_count());
   put("recovery.draining_nodes", draining_.size());
+  put("recovery.epoch", epoch());
 
   // Home-side GMM counters; a promoted shadow's activity counts toward the
   // node serving it.

@@ -34,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -105,6 +106,14 @@ class KernelCore {
     std::vector<StartTask> start;
     std::vector<std::string> console;  // aggregated lines (node 0)
     bool shutdown = false;
+
+    // Appends `more` after what is already here.
+    void Append(Actions more) {
+      for (auto& o : more.out) out.push_back(std::move(o));
+      for (auto& s : more.start) start.push_back(std::move(s));
+      for (auto& c : more.console) console.push_back(std::move(c));
+      shutdown = shutdown || more.shutdown;
+    }
   };
 
   KernelCore(NodeId self, int num_nodes, KernelOptions options);
@@ -141,6 +150,9 @@ class KernelCore {
   bool NodeAlive(NodeId node) const;
   NodeId CoordinatorView() const;
   NodeId LastEvicted() const;
+  // When the last membership change here was an admission: that admission
+  // (a NodeJoinResp with this node's full view), for a peer that missed it.
+  std::optional<proto::Envelope> LastAdmission() const;
 
   // Applies an eviction locally (coordinator self-apply and push-repair
   // paths; EvictReq frames funnel here too). Caller serializes like Handle.
@@ -343,6 +355,8 @@ class KernelCore {
   void RecordShadowResponse(NodeId primary, NodeId dst,
                             proto::Envelope env);
   proto::Envelope MakeRetryResp(const proto::Envelope& req) const;
+  // NodeJoinResp{node, epoch, our alive bitmap}. Caller holds route_mu_.
+  proto::Envelope MakeAdmission(NodeId node, std::uint32_t epoch) const;
 
   NodeId self_;
   int num_nodes_;

@@ -274,6 +274,15 @@ KernelOptions MakeKernelOptions(const NodeHost::Options& options,
   return kopts;
 }
 
+recovery::Membership::Options MakeMembershipOptions(
+    const NodeHost::Options& options) {
+  recovery::Membership::Options mopts;
+  mopts.period_ms = options.heartbeat.EffectivePeriodMs(options.lossy);
+  mopts.timeout_ms = options.heartbeat.EffectiveTimeoutMs(mopts.period_ms);
+  mopts.drain_requested = options.drain_requested;
+  return mopts;
+}
+
 }  // namespace
 
 NodeHost::NodeHost(net::Endpoint* endpoint, int num_nodes, Options options)
@@ -281,13 +290,10 @@ NodeHost::NodeHost(net::Endpoint* endpoint, int num_nodes, Options options)
       options_(std::move(options)),
       core_(endpoint->self(), num_nodes,
             MakeKernelOptions(options_, endpoint)),
-      last_heard_ms_(static_cast<size_t>(num_nodes)),
-      peer_dead_(static_cast<size_t>(num_nodes)),
-      drain_initiated_(static_cast<size_t>(num_nodes)) {
+      membership_(&core_, MakeMembershipOptions(options_), &core_mu_) {
   DSE_CHECK(options_.registry != nullptr);
   rpc_timeouts_ = core_.metrics().counter("rpc.timeout");
   rpc_retries_ = core_.metrics().counter("rpc.retry");
-  nodes_dead_ = core_.metrics().counter("node.dead");
   inline_resps_ = core_.metrics().counter("rpc.inline_resp");
 }
 
@@ -317,10 +323,7 @@ std::int64_t NodeHost::NowMs() const {
 
 void NodeHost::Start() {
   DSE_CHECK_MSG(!service_.joinable(), "NodeHost started twice");
-  const std::int64_t now = NowMs();
-  for (auto& stamp : last_heard_ms_) {
-    stamp.store(now, std::memory_order_relaxed);
-  }
+  membership_.Start(NowMs());
   endpoint_->SetInlineSink(
       [this](const net::Delivery& d) { return CompleteInline(d); });
   service_ = std::thread([this] {
@@ -334,17 +337,13 @@ void NodeHost::Start() {
     }
     service_exit_cv_.notify_all();
   });
-  const int period_ms = options_.heartbeat.EffectivePeriodMs(options_.lossy);
+  const int period_ms = membership_.period_ms();
   if (period_ms > 0 && core_.num_nodes() > 1) {
     heartbeat_ = std::thread([this, period_ms] { HeartbeatLoop(period_ms); });
   }
 }
 
 void NodeHost::HeartbeatLoop(int period_ms) {
-  const int timeout_ms = options_.heartbeat.timeout_ms > 0
-                             ? options_.heartbeat.timeout_ms
-                             : 5 * period_ms;
-  std::int64_t last_tick = NowMs();
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(hb_mu_);
@@ -352,241 +351,11 @@ void NodeHost::HeartbeatLoop(int period_ms) {
                       [&] { return hb_stop_; });
       if (hb_stop_) return;
     }
-    const std::int64_t now = NowMs();
-    // Pause compensation: time this monitor itself spent descheduled
-    // beyond its period (host overload, a stopped/paused process, a
-    // debugger) is indistinguishable from peer silence — our own pause
-    // also kept us from *hearing* heartbeats that may well have been
-    // sent. Credit the excess back to every unsuspected peer so only
-    // time the monitor was demonstrably running counts toward a timeout.
-    // A genuinely dead peer is still detected: with the monitor ticking
-    // normally the excess is zero and the deadline expires as usual;
-    // under sustained overload detection stretches proportionally
-    // instead of mass-declaring the whole cluster dead on wake-up.
-    const std::int64_t excess = now - last_tick - period_ms;
-    last_tick = now;
-    if (excess > 0) {
-      for (NodeId n = 0; n < core_.num_nodes(); ++n) {
-        const auto i = static_cast<size_t>(n);
-        if (n == self() || peer_dead_[i].load(std::memory_order_relaxed)) {
-          continue;
-        }
-        last_heard_ms_[i].fetch_add(excess, std::memory_order_relaxed);
-      }
-    }
-    // Two passes: latch every peer that timed out this tick *before* acting
-    // on any of them. A partition severs several links at once; evicting
-    // the first silent peer while the others still look reachable would
-    // let a minority side pass the quorum check it should fail.
-    std::vector<NodeId> newly_silent;
-    for (NodeId n = 0; n < core_.num_nodes(); ++n) {
-      const auto i = static_cast<size_t>(n);
-      if (n == self() ||
-          peer_dead_[i].load(std::memory_order_relaxed)) {
-        continue;
-      }
-      if (now - last_heard_ms_[i].load(std::memory_order_relaxed) >
-          timeout_ms) {
-        if (options_.silence_confirms && !options_.silence_confirms(n)) {
-          // The oracle says the peer is neither killed nor severed: the
-          // silence is scheduler starvation, not death. Reset its clock —
-          // the timeout re-arms and fires for real once the injector
-          // actually takes the peer down.
-          last_heard_ms_[i].store(now, std::memory_order_relaxed);
-          continue;
-        }
-        LatchPeerDead(n, "heartbeat timeout");
-        newly_silent.push_back(n);
-      }
-    }
-    for (const NodeId n : newly_silent) {
-      EvictPeer(n, 0, "heartbeat timeout");
-    }
-    for (NodeId n = 0; n < core_.num_nodes(); ++n) {
-      if (n == self()) continue;
-      if (peer_dead_[static_cast<size_t>(n)].load(
-              std::memory_order_relaxed)) {
-        // Keep probing a suspected peer that is still a member (we may be
-        // quorum-parked on the minority side of a partition): when the
-        // partition heals, the probes revoke the suspicion on both sides.
-        if (!core_.replication_on() || !core_.NodeAlive(n)) continue;
-      }
-      proto::Envelope probe;
-      probe.req_id = 0;
-      probe.src_node = self();
-      probe.body = proto::Heartbeat{};
-      (void)SendEnvelope(n, probe);  // a lost probe is just a silent period
-    }
-    // Replication: the coordinator re-announces evictions every tick, so a
-    // survivor whose EvictReq frame was lost converges without waiting for
-    // its own heartbeat timeout. With rejoin on, the eviction is announced
-    // to the evicted node itself too — a restarted/healed node learns it
-    // was evicted and initiates NodeJoinReq from that signal.
-    if (core_.replication_on() && core_.CoordinatorView() == self()) {
-      for (NodeId d = 0; d < core_.num_nodes(); ++d) {
-        if (core_.NodeAlive(d)) continue;
-        for (NodeId n = 0; n < core_.num_nodes(); ++n) {
-          if (n == self()) continue;
-          const bool alive = core_.NodeAlive(n);
-          if (!alive && !(options_.rejoin && n == d)) continue;
-          proto::Envelope ev;
-          ev.req_id = 0;
-          ev.src_node = self();
-          ev.epoch = core_.epoch();
-          ev.body = proto::EvictReq{d, core_.epoch()};
-          (void)SendEnvelope(n, ev);
-        }
-      }
-    }
-    // Planned drain duties (coordinator): fire drain triggers from the
-    // harness oracle, and once a draining peer reports cutover-ready (and
-    // the scheduler here, if any, has no member left on it), evict it under
-    // a bumped epoch — the lossless, planned eviction. The evicted node
-    // rejoins via the re-announce path above.
-    if (core_.replication_on() && core_.CoordinatorView() == self()) {
-      for (NodeId d = 0; d < core_.num_nodes(); ++d) {
-        if (d == self() || !core_.NodeAlive(d)) continue;
-        bool draining = false;
-        bool ready = false;
-        {
-          std::lock_guard<std::mutex> lock(core_mu_);
-          draining = core_.NodeDraining(d);
-          ready = core_.DrainCutoverReady(d);
-        }
-        if (ready) {
-          EvictPeer(d, core_.epoch() + 1, "drain cutover");
-        } else if (!draining && options_.drain_requested &&
-                   options_.drain_requested(d) &&
-                   !drain_initiated_[static_cast<size_t>(d)].exchange(
-                       true, std::memory_order_relaxed)) {
-          AdminDrain(d);
-        }
-      }
-    }
-    // Self-healing: retransmission tick for in-flight state transfers.
-    if (core_.replication_on()) {
-      KernelCore::Actions actions;
-      {
-        std::lock_guard<std::mutex> lock(core_mu_);
-        actions = core_.TickTransfers();
-      }
-      Perform(std::move(actions));
-    }
+    Perform(membership_.Tick(NowMs()));
   }
 }
 
-void NodeHost::AdminDrain(NodeId node) {
-  if (!core_.replication_on()) return;
-  if (node < 0 || node >= core_.num_nodes() || !core_.NodeAlive(node)) return;
-  proto::Envelope env;
-  env.req_id = 0;
-  env.src_node = self();
-  env.epoch = core_.epoch();
-  env.body = proto::DrainReq{node, core_.epoch()};
-  // Apply locally first (marks the node draining; the scheduler here stops
-  // placing on it), then broadcast so every member — the target included —
-  // converges on the same view.
-  KernelCore::Actions actions;
-  {
-    std::lock_guard<std::mutex> lock(core_mu_);
-    actions = core_.Handle(env);
-  }
-  Perform(std::move(actions));
-  for (NodeId n = 0; n < core_.num_nodes(); ++n) {
-    if (n == self() || !core_.NodeAlive(n)) continue;
-    (void)SendEnvelope(n, env);
-  }
-}
-
-bool NodeHost::PeerDead(NodeId node) const {
-  if (node < 0 || node >= core_.num_nodes()) return false;
-  return peer_dead_[static_cast<size_t>(node)].load(
-      std::memory_order_relaxed);
-}
-
-void NodeHost::MarkPeerDead(NodeId node, const char* why) {
-  EvictPeer(node, 0, why);
-}
-
-void NodeHost::LatchPeerDead(NodeId node, const char* why) {
-  if (node < 0 || node >= core_.num_nodes() || node == self()) return;
-  if (!peer_dead_[static_cast<size_t>(node)].exchange(
-          true, std::memory_order_relaxed)) {
-    nodes_dead_->Add();
-    DSE_LOG(kWarn) << "node " << self() << ": declaring node " << node
-                   << " dead (" << why << ")";
-    FailPendingTo(node, Unavailable("node " + std::to_string(node) +
-                                    " declared dead (" + why + ")"));
-  }
-}
-
-void NodeHost::EvictPeer(NodeId node, std::uint32_t epoch, const char* why) {
-  if (node < 0 || node >= core_.num_nodes() || node == self()) return;
-  LatchPeerDead(node, why);
-  if (!core_.replication_on() || !core_.NodeAlive(node)) return;
-  // Quorum guard: a locally detected eviction (no epoch from a peer backing
-  // it) needs a reachable strict majority (or --min-quorum), counting every
-  // current member we do not suspect, ourselves included. Below the bar we
-  // park: the suspicion stays latched, calls fail over and retry, and no
-  // membership change happens until the partition heals or a quorum-held
-  // eviction reaches us by gossip.
-  if (epoch == 0) {
-    int reachable = 0;
-    for (NodeId n = 0; n < core_.num_nodes(); ++n) {
-      if (!core_.NodeAlive(n)) continue;
-      if (n != self() && PeerDead(n)) continue;
-      ++reachable;
-    }
-    if (reachable < core_.QuorumRequired()) {
-      if (!parked_.exchange(true, std::memory_order_relaxed)) {
-        core_.NoteQuorumPark();
-        DSE_LOG(kWarn) << "node " << self() << ": quorum park — only "
-                       << reachable << " member(s) reachable, need "
-                       << core_.QuorumRequired();
-      }
-      return;
-    }
-    parked_.store(false, std::memory_order_relaxed);
-  }
-  const std::uint32_t new_epoch = epoch != 0 ? epoch : core_.epoch() + 1;
-  KernelCore::Actions actions;
-  {
-    std::lock_guard<std::mutex> lock(core_mu_);
-    actions = core_.ApplyEviction(node, new_epoch);
-  }
-  Perform(std::move(actions));
-  // The coordinator announces the eviction; everyone else has applied it
-  // locally (own detection or a received EvictReq) and stays quiet.
-  if (core_.CoordinatorView() == self()) {
-    for (NodeId n = 0; n < core_.num_nodes(); ++n) {
-      if (n == self() || !core_.NodeAlive(n)) continue;
-      proto::Envelope ev;
-      ev.req_id = 0;
-      ev.src_node = self();
-      ev.epoch = core_.epoch();
-      ev.body = proto::EvictReq{node, new_epoch};
-      (void)SendEnvelope(n, ev);
-    }
-  }
-}
-
-void NodeHost::HandleRetrySignal(NodeId responder,
-                                 const proto::RetryResp& rr) {
-  const std::uint32_t local = core_.epoch();
-  if (rr.epoch > local && rr.evicted >= 0) {
-    // The responder is ahead: adopt its eviction without waiting for our
-    // own heartbeat timeout or the coordinator's broadcast.
-    EvictPeer(rr.evicted, rr.epoch, "epoch gossip");
-  } else if (rr.epoch < local) {
-    // The responder lags (it missed the EvictReq): push-repair it.
-    proto::Envelope ev;
-    ev.req_id = 0;
-    ev.src_node = self();
-    ev.epoch = local;
-    ev.body = proto::EvictReq{core_.LastEvicted(), local};
-    (void)SendEnvelope(responder, ev);
-  }
-}
+void NodeHost::AdminDrain(NodeId node) { Perform(membership_.Drain(node)); }
 
 std::uint64_t NodeHost::NextReqId() {
   return next_req_id_.fetch_add(1, std::memory_order_relaxed);
@@ -729,7 +498,7 @@ Result<proto::Envelope> NodeHost::AwaitWithRetry(NodeId dst,
         if (!can_failover) {
           return Unavailable("epoch bounce with no failover budget left");
         }
-        HandleRetrySignal(outcome->src_node, *rr);
+        Perform(membership_.OnRetrySignal(outcome->src_node, *rr));
         ++failovers;
         if (const Status s = FailoverResend(dst, &env, waiter); !s.ok()) {
           return s;
@@ -878,6 +647,14 @@ void NodeHost::Perform(KernelCore::Actions actions) {
   }
 }
 
+void NodeHost::Perform(recovery::Membership::Actions actions) {
+  for (const NodeId node : actions.dead) {
+    FailPendingTo(node, Unavailable("node " + std::to_string(node) +
+                                    " declared dead"));
+  }
+  Perform(std::move(actions.kernel));
+}
+
 void NodeHost::StartTaskThread(KernelCore::StartTask st) {
   {
     std::lock_guard<std::mutex> lock(tasks_mu_);
@@ -921,27 +698,22 @@ bool NodeHost::CompleteInline(const net::Delivery& delivery) {
   // A frame from a suspected peer may revoke the suspicion, which the
   // service loop does.
   const NodeId src = decoded->src_node;
-  if (src < 0 || src >= core_.num_nodes() ||
-      peer_dead_[static_cast<size_t>(src)].load(std::memory_order_relaxed)) {
+  if (src < 0 || src >= core_.num_nodes() || membership_.Suspected(src)) {
     return false;
   }
   Waiter* waiter = ClaimWaiter(decoded->req_id);
   if (waiter == nullptr) return false;
-  NoteReceived(*decoded, delivery.payload.size());
+  NoteReceived(*decoded, delivery.payload.size(), NowMs());
   inline_resps_->Add();
   CompleteResponse(std::move(*decoded), waiter);
   return true;
 }
 
 void NodeHost::NoteReceived(const proto::Envelope& env,
-                            std::uint64_t wire_bytes) {
+                            std::uint64_t wire_bytes, std::int64_t now_ms) {
   core_.CountRecv(env.type());
   core_.CountWireRecv(wire_bytes);
-  // Any frame proves its sender alive.
-  if (env.src_node >= 0 && env.src_node < core_.num_nodes()) {
-    last_heard_ms_[static_cast<size_t>(env.src_node)].store(
-        NowMs(), std::memory_order_relaxed);
-  }
+  membership_.NoteHeard(env.src_node, now_ms);
 }
 
 NodeHost::Waiter* NodeHost::ClaimWaiter(std::uint64_t req_id) {
@@ -991,71 +763,14 @@ void NodeHost::ServiceLoop() {
       continue;
     }
     proto::Envelope env = std::move(*decoded);
-    NoteReceived(env, delivery->payload.size());
-
-    // With replication, any frame also revokes a suspicion of a peer that
-    // is still a member — a quorum-parked side of a partition resumes this
-    // way when the partition heals (a truly evicted node stays latched; it
-    // must rejoin through the coordinator).
-    if (env.src_node >= 0 && env.src_node < core_.num_nodes()) {
-      const auto si = static_cast<size_t>(env.src_node);
-      if (core_.replication_on() && env.src_node != self() &&
-          peer_dead_[si].load(std::memory_order_relaxed) &&
-          core_.NodeAlive(env.src_node)) {
-        peer_dead_[si].store(false, std::memory_order_relaxed);
-        parked_.store(false, std::memory_order_relaxed);
-        DSE_LOG(kWarn) << "node " << self() << ": suspicion of node "
-                       << env.src_node << " revoked (frame received)";
-      }
-    }
-    if (env.type() == proto::MsgType::kHeartbeat) continue;
-
-    if (env.type() == proto::MsgType::kEvictReq) {
-      const auto& e = std::get<proto::EvictReq>(env.body);
-      if (e.node == self() && core_.replication_on() && options_.rejoin) {
-        // The cluster evicted *us* (we were partitioned away or presumed
-        // dead): wipe the kernel state the cluster has moved past and ask
-        // the announcer (the coordinator) for re-admission. Guarded so the
-        // per-tick re-announce only re-sends the join request.
-        if (!joining_.exchange(true, std::memory_order_relaxed)) {
-          std::lock_guard<std::mutex> lock(core_mu_);
-          core_.ResetForRejoin();
-        }
-        proto::Envelope jr;
-        jr.req_id = 0;
-        jr.src_node = self();
-        jr.body = proto::NodeJoinReq{self()};
-        (void)SendEnvelope(env.src_node, jr);
-        continue;
-      }
-      // Handled at the host layer so the peer-dead latch, pending-call
-      // sweep and coordinator re-announce all happen with the membership
-      // change. (EvictPeer funnels into core().ApplyEviction.)
-      EvictPeer(e.node, e.epoch, "evicted by coordinator");
-      continue;
-    }
-
-    if (const auto* jr = std::get_if<proto::NodeJoinResp>(&env.body)) {
-      // Host-level view of an admission (the kernel handles the membership
-      // change below): clear the liveness latches the rejoin obsoletes.
-      if (jr->node == self()) {
-        joining_.store(false, std::memory_order_relaxed);
-        parked_.store(false, std::memory_order_relaxed);
-        const std::int64_t now = NowMs();
-        for (size_t i = 0; i < jr->alive.size() &&
-                           i < peer_dead_.size(); ++i) {
-          if (jr->alive[i] != 0) {
-            peer_dead_[i].store(false, std::memory_order_relaxed);
-            last_heard_ms_[i].store(now, std::memory_order_relaxed);
-          }
-        }
-      } else if (jr->node >= 0 && jr->node < core_.num_nodes()) {
-        peer_dead_[static_cast<size_t>(jr->node)].store(
-            false, std::memory_order_relaxed);
-        last_heard_ms_[static_cast<size_t>(jr->node)].store(
-            NowMs(), std::memory_order_relaxed);
-      }
-    }
+    const std::int64_t now = NowMs();
+    NoteReceived(env, delivery->payload.size(), now);
+    // Membership traffic (heartbeats, evictions) stops here; a frame from a
+    // suspected member revokes the suspicion and goes on.
+    recovery::Membership::Actions membership = membership_.OnFrame(env, now);
+    const bool consumed = membership.consumed;
+    Perform(std::move(membership));
+    if (consumed) continue;
 
     if (proto::IsClientResponse(env.type())) {
       Waiter* waiter = ClaimWaiter(env.req_id);

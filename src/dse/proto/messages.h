@@ -322,7 +322,7 @@ struct EvictReq {
 // Epoch fence bounce: the request's envelope epoch did not match the
 // responder's cluster epoch. Carries the responder's view so a lagging peer
 // can catch up (`evicted` is the node removed at the responder's epoch, -1
-// if the responder has evicted nobody).
+// if its last membership change was no eviction).
 struct RetryResp {
   std::uint32_t epoch = 0;
   NodeId evicted = -1;

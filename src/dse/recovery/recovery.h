@@ -27,8 +27,10 @@
 //     TaskRegistry::RegisterIdempotent are re-spawned from the client's
 //     spawn ledger on the node now serving the dead host's ring slot.
 //
-// Self-healing (this layer, kernel_core.cc + node_host.cc): the instant
-// tolerance is f = 1 — one backup per home — but the membership heals:
+// Self-healing (membership.h + kernel_core.cc, driven by node_host.cc on
+// the threaded and TCP runtimes and by sim_runtime.cc on the simulator): the
+// instant tolerance is f = 1 — one backup per home — but the membership
+// heals:
 //
 //   * Quorum-guarded eviction: a node only applies a *locally detected*
 //     eviction while it can still reach a strict majority of the current
@@ -56,13 +58,6 @@
 #include <cstddef>
 
 namespace dse::recovery {
-
-// Virtual milliseconds between a kill firing in the simulator's fault
-// injector and the survivors applying the eviction. The sim has no
-// heartbeat traffic (it would perturb every timing figure), so detection is
-// modeled as a fixed delay — deterministic, like everything else in the
-// sim.
-inline constexpr int kSimDetectionDelayMs = 5;
 
 // Real milliseconds a threaded/process client pauses between failover
 // resends. Evictions propagate at heartbeat cadence; resending full speed

@@ -39,16 +39,12 @@ enum class MediumKind { kSharedBus, kSwitched, kRoutedFabric };
 // On the simulator every time in the shared knobs is virtual time, and a
 // batched envelope is charged ONE per-message protocol overhead plus the
 // summed payload's byte cost — exactly why aggregation wins on the paper's
-// shared bus. With replication, a fired kill schedule makes the survivors
-// apply the eviction a fixed virtual delay later
-// (recovery::kSimDetectionDelayMs — the sim has no heartbeat traffic).
-// Membership is modelled by its converged outcome: on a kill or sever the
-// sim computes the partition components among the live members, the
-// component holding a quorum evicts the unreachable nodes, and quorum-less
-// components park (recovery.quorum_parks) until the fault heals; heals and
-// revives trigger rejoin + state hand-back over the same wire protocol the
-// threaded runtime uses. Scheduler timestamps come from virtual time, so a
-// serving schedule replays bit for bit.
+// shared bus. With replication and a fault plan (or `rolling`), every node
+// runs the threaded runtime's membership protocol (recovery::Membership) on
+// virtual time at the default heartbeat period: its Heartbeat, EvictReq,
+// DrainReq and NodeJoinReq frames cross the fault injector and the medium,
+// and count toward the plan's frame thresholds. Scheduler timestamps come
+// from virtual time, so a serving schedule replays bit for bit.
 struct SimOptions : ClusterOptions {
   platform::Profile profile;
   // Heterogeneous cluster (optional): one profile per physical machine.

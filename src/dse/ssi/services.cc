@@ -51,7 +51,9 @@ SsiServices::Effects SsiServices::Handle(const proto::Envelope& env) {
     case proto::MsgType::kConsoleOut: {
       const auto& msg = std::get<proto::ConsoleOut>(env.body);
       Effects fx;
-      fx.console.push_back("[" + GpidToString(msg.gpid) + "] " + msg.text);
+      std::string line = "[";
+      line.append(GpidToString(msg.gpid)).append("] ").append(msg.text);
+      fx.console.push_back(std::move(line));
       return fx;
     }
 

@@ -36,7 +36,8 @@ void AppendJsonObject(std::string* out, const MetricsSnapshot& snap) {
   for (const auto& [name, value] : snap) {
     if (!first) *out += ", ";
     first = false;
-    *out += "\"" + JsonEscape(name) + "\": " + std::to_string(value);
+    out->append("\"").append(JsonEscape(name)).append("\": ");
+    out->append(std::to_string(value));
   }
   *out += "}";
 }

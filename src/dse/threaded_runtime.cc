@@ -29,21 +29,9 @@ ThreadedRuntime::ThreadedRuntime(ThreadedOptions options)
     hopts.registry = &registry_;
     hopts.lossy = faulty;
     hopts.heartbeat = options_.heartbeat;
-    if (faulty && options_.liveness_oracle) {
-      net::FaultInjector* fault = fault_.get();
-      // The silence is real if the peer is dead, the link is cut — or WE
-      // are dead: a killed node's threads keep running but hear nobody, and
-      // confirming all of its suspicions makes it park on the quorum check
-      // (matching a real network-dead node) instead of locally evicting
-      // live peers from its now-divergent view of the membership.
-      hopts.silence_confirms = [fault, i](NodeId peer) {
-        return fault->NodeDead(i) || fault->NodeDead(peer) ||
-               fault->LinkSevered(i, peer);
-      };
-    }
     if (faulty && !options_.fault_plan.drains.empty()) {
       net::FaultInjector* fault = fault_.get();
-      // Planned-drain trigger: the coordinator's heartbeat tick polls this
+      // Planned-drain trigger: the coordinator's membership tick polls this
       // and runs the graceful drain once the schedule fires.
       hopts.drain_requested = [fault](NodeId peer) {
         return fault->NodeDraining(peer);

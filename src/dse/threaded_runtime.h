@@ -30,14 +30,6 @@ struct ThreadedOptions : ClusterOptions {
   // as lossy (NodeHost::Options::lossy).
   net::FaultPlan fault_plan = {};
   HeartbeatOptions heartbeat;
-  // Liveness oracle (docs/fault_model.md): before latching a
-  // heartbeat-timeout suspicion, ask the fault injector whether the peer is
-  // really killed or severed; unconfirmed silence (an OS-starved sender
-  // thread — every "node" here is a thread of one process) resets the
-  // timer instead of manufacturing a false eviction. Detection of real
-  // faults keeps its genuine wall-clock latency. Off = raw timeouts, the
-  // semantics a multi-process deployment would have.
-  bool liveness_oracle = true;
 };
 
 class ThreadedRuntime {

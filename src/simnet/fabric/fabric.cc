@@ -244,14 +244,12 @@ void RoutedFabricMedium::CheckFaults() {
             DrainDeadLink(l.id);
           }
         }
-        pending_events_.push_back(TopologyEvent{false, i});
       }
     }
     if (fault_fired_[i] && !fault_healed_[i] && lf.heal >= 0 &&
         frames_seen_ >= static_cast<std::uint64_t>(lf.heal)) {
       fault_healed_[i] = 1;
       if (topo_.HealRouterLink(lf.a, lf.b).ok()) {
-        pending_events_.push_back(TopologyEvent{true, i});
         for (const Link& l : topo_.links()) {
           if ((l.from == lf.a && l.to == lf.b) ||
               (l.from == lf.b && l.to == lf.a)) {
@@ -261,13 +259,6 @@ void RoutedFabricMedium::CheckFaults() {
       }
     }
   }
-}
-
-std::vector<RoutedFabricMedium::TopologyEvent>
-RoutedFabricMedium::TakeTopologyEvents() {
-  std::vector<TopologyEvent> out;
-  out.swap(pending_events_);
-  return out;
 }
 
 std::map<std::string, std::uint64_t> RoutedFabricMedium::ExtraCounters()

@@ -69,15 +69,6 @@ class RoutedFabricMedium final : public Medium {
 
   const Topology& topology() const { return topo_; }
 
-  // Link fault schedule hooks: the runtime polls TakeTopologyEvents() after
-  // deliveries to translate fired severs/heals into membership reactions.
-  struct TopologyEvent {
-    bool heal = false;
-    size_t fault_index = 0;  // into FabricOptions::link_faults
-  };
-  bool has_link_faults() const { return !opts_.link_faults.empty(); }
-  std::vector<TopologyEvent> TakeTopologyEvents();
-
   struct LinkUse {
     std::uint64_t frames = 0;
     sim::SimTime busy = 0;
@@ -117,7 +108,6 @@ class RoutedFabricMedium final : public Medium {
   std::vector<char> fault_healed_;
   std::uint64_t frames_seen_ = 0;
   std::uint64_t in_flight_ = 0;
-  std::vector<TopologyEvent> pending_events_;
 };
 
 }  // namespace dse::simnet::fabric

@@ -18,16 +18,19 @@
 //
 // Scheduling discipline matches recovery_test.cc: threaded kills and drains
 // are condition-triggered by watcher threads (never wall-clock timed), the
-// main task holds its final verification read behind a resume gate, and the
-// liveness oracle keeps CPU starvation from manufacturing false evictions.
+// main task holds its final verification read behind a resume gate, and a
+// wide heartbeat timeout keeps CPU starvation from manufacturing false
+// evictions.
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <ostream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,6 +42,7 @@
 #include "dse/threaded_runtime.h"
 #include "net/fault.h"
 #include "platform/profile.h"
+#include "tests/message_faults.h"
 
 namespace dse {
 namespace {
@@ -191,7 +195,7 @@ ThreadedOptions DrainThreadedOptions() {
   o.rpc_max_attempts = 10;
   o.rpc_backoff_base_ms = 1;
   o.heartbeat.period_ms = 20;   // the coordinator's tick drives the cutover
-  o.heartbeat.timeout_ms = 400;  // oracle-guarded (see recovery_test.cc)
+  o.heartbeat.timeout_ms = 400;  // wide (see recovery_test.cc)
   o.replication = 1;
   return o;
 }
@@ -337,10 +341,14 @@ SimOptions DrainSimOptions() {
 // Planned drain on the simulator: the full cycle — handoff, typed cutover,
 // rejoin, hand-back — lands inside the workload and replays bit-identically
 // (makespan, message count, every per-node counter, the injector's ledger).
-TEST(DrainSim, PlannedDrainIsLosslessAndReplaysBitIdentically) {
+SimOptions PlannedDrainSimOptions() {
   SimOptions opts = DrainSimOptions();
   opts.fault_plan.drains.push_back({kDrained, 300});
-  SimRuntime rt(opts);
+  return opts;
+}
+
+TEST(DrainSim, PlannedDrainIsLosslessAndReplaysBitIdentically) {
+  SimRuntime rt(PlannedDrainSimOptions());
   RegisterGaussOnDrained(rt.registry());
 
   const SimReport a = rt.Run("gs_main");
@@ -367,11 +375,15 @@ TEST(DrainSim, PlannedDrainIsLosslessAndReplaysBitIdentically) {
 // started models exactly this). Whatever point the handoff reached, the
 // survivors converge, the answer is exact, and the interleaving replays
 // bit-identically.
-TEST(DrainSim, KilledMidDrainFailsOverAndReplaysBitIdentically) {
+SimOptions KilledMidDrainSimOptions() {
   SimOptions opts = DrainSimOptions();
   opts.fault_plan.drains.push_back({kDrained, 250});
   opts.fault_plan.kills.push_back({kDrained, 400});
-  SimRuntime rt(opts);
+  return opts;
+}
+
+TEST(DrainSim, KilledMidDrainFailsOverAndReplaysBitIdentically) {
+  SimRuntime rt(KilledMidDrainSimOptions());
   RegisterGaussOnDrained(rt.registry());
 
   const SimReport a = rt.Run("gs_main");
@@ -391,6 +403,64 @@ TEST(DrainSim, KilledMidDrainFailsOverAndReplaysBitIdentically) {
   EXPECT_EQ(a.node_stats, b.node_stats);
   EXPECT_EQ(a.fault_counters, b.fault_counters);
 }
+
+// The two drain cases again with the injector dropping or duplicating frames
+// on top of their schedules — DrainReq, DrainResp, the cutover EvictReq and
+// the rejoin's NodeJoinReq included. The handoff must stay lossless (exact
+// answer), the survivors must converge on the newest epoch, and the run must
+// replay bit-for-bit.
+struct SimDrainCase {
+  const char* name;
+  SimOptions (*options)();
+};
+void PrintTo(const SimDrainCase& v, std::ostream* os) { *os << v.name; }
+constexpr SimDrainCase kSimDrainCases[] = {
+    {"PlannedDrain", PlannedDrainSimOptions},
+    {"KilledMidDrain", KilledMidDrainSimOptions},
+};
+
+class DrainSimMessageFaults
+    : public testing::TestWithParam<std::tuple<SimDrainCase, MessageFaults>> {
+};
+
+TEST_P(DrainSimMessageFaults, HandoffStaysLosslessAndReplays) {
+  const auto& [c, faults] = GetParam();
+  SimOptions opts = c.options();
+  faults.ApplyTo(&opts);
+  SimRuntime rt(opts);
+  RegisterGaussOnDrained(rt.registry());
+
+  const SimReport a = rt.Run("gs_main");
+  const SimReport b = rt.Run("gs_main");
+
+  EXPECT_EQ(ResultI64(a.main_result), 0);
+  EXPECT_EQ(Get(a.fault_counters, "fault.drained_nodes"), 1u);
+  EXPECT_GE(Get(a.fault_counters, faults.counter), 1u);
+  EXPECT_GE(SumCounter(a.node_stats, "recovery.evictions"), 1u);
+  // Nodes 0-2 never leave, so each must end on the newest epoch.
+  const std::uint64_t newest = NewestEpoch(a);
+  EXPECT_GE(newest, 1u);
+  for (NodeId n = 0; n < kDrained; ++n) {
+    EXPECT_EQ(Get(a.node_stats[static_cast<size_t>(n)], "recovery.epoch"),
+              newest)
+        << "node " << n;
+  }
+
+  EXPECT_EQ(a.virtual_seconds, b.virtual_seconds);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.main_result, b.main_result);
+  EXPECT_EQ(a.node_stats, b.node_stats);
+  EXPECT_EQ(a.fault_counters, b.fault_counters);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MessageFaults, DrainSimMessageFaults,
+    testing::Combine(testing::ValuesIn(kSimDrainCases),
+                     testing::ValuesIn(kMessageFaults)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) +
+             std::get<1>(info.param).name;
+    });
 
 // Regression: drain a node that HOSTS a live resident task. The cutover
 // must defer until the task exits — a drain drops no frames, so cutting

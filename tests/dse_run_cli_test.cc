@@ -61,6 +61,20 @@ const Rejection kRejections[] = {
      "--procs must be >= 1 (got 0)\n"},
     {"PrefetchNegative", "gauss --prefetch -1", nullptr,
      "--prefetch must be >= 0 (got -1)\n"},
+    {"ProcsTrailingText", "gauss --mode sim --procs 3x", nullptr,
+     "--procs must be an integer (got '3x')\n"},
+    {"ProcsMissing", "gauss --procs", nullptr,
+     "--procs must be an integer (got '')\n"},
+    {"PrefetchTrailingText", "gauss --prefetch 2x", nullptr,
+     "--prefetch must be an integer (got '2x')\n"},
+    {"AppIntNotInteger", "gauss --n abc", nullptr,
+     "--n must be an integer (got 'abc')\n"},
+    {"AppIntOverflow", "gauss --n 99999999999", nullptr,
+     "--n must be an integer (got '99999999999')\n"},
+    {"SlotsNotInteger", "serving --slots two", nullptr,
+     "--slots must be an integer (got 'two')\n"},
+    {"AppDoubleNotNumber", "dct --keep half", nullptr,
+     "--keep must be a number (got 'half')\n"},
     {"RpcDeadlineNotInteger", "gauss --rpc-deadline-ms soon", nullptr,
      "--rpc-deadline-ms must be an integer >= 0 (got 'soon')\n"},
     {"RpcDeadlineTrailingText", "gauss --rpc-deadline-ms 10ms", nullptr,

@@ -5,7 +5,9 @@
 // eviction + promotion when a machine is cut off, and rejoin after heal.
 #include <array>
 #include <cstdint>
+#include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "simnet/ethernet.h"
 #include "simnet/fabric/fabric.h"
 #include "simnet/fabric/topology.h"
+#include "tests/message_faults.h"
 
 namespace dse {
 namespace {
@@ -412,10 +415,14 @@ SimOptions FabricFaultSimOptions() {
 // around, nobody becomes unreachable, and the membership layer must NOT
 // evict anyone. The answer stays exact and the whole episode replays
 // bit-for-bit.
-TEST(FabricFaultSim, SeveredLinkReroutesWithoutEviction) {
+SimOptions SeveredLinkSimOptions() {
   SimOptions opts = FabricFaultSimOptions();
   opts.fault_plan.fabric_links.push_back({1, 2, 50, -1});
-  SimRuntime rt(opts);
+  return opts;
+}
+
+TEST(FabricFaultSim, SeveredLinkReroutesWithoutEviction) {
+  SimRuntime rt(SeveredLinkSimOptions());
   RegisterSweepHomedOn(rt.registry(), 3, {0, 1, 2});
 
   const SimReport a = rt.Run("fab_main");
@@ -436,11 +443,15 @@ TEST(FabricFaultSim, SeveredLinkReroutesWithoutEviction) {
 // epoch, evict node 3, promote the replicated backup, and still land the
 // sweep bit-for-bit on the serial answer; and the whole recovery schedule
 // must replay identically.
-TEST(FabricFaultSim, IsolatedHomeEvictsPromotesAndConverges) {
+SimOptions IsolatedHomeSimOptions() {
   SimOptions opts = FabricFaultSimOptions();
   opts.fault_plan.fabric_links.push_back({3, 0, 150, -1});
   opts.fault_plan.fabric_links.push_back({2, 3, 150, -1});
-  SimRuntime rt(opts);
+  return opts;
+}
+
+TEST(FabricFaultSim, IsolatedHomeEvictsPromotesAndConverges) {
+  SimRuntime rt(IsolatedHomeSimOptions());
   RegisterSweepHomedOn(rt.registry(), 3, {0, 1, 2});
 
   const SimReport a = rt.Run("fab_main");
@@ -458,6 +469,65 @@ TEST(FabricFaultSim, IsolatedHomeEvictsPromotesAndConverges) {
   EXPECT_EQ(a.node_stats, b.node_stats);
   EXPECT_EQ(a.medium_counters, b.medium_counters);
 }
+
+// Both fabric cases again with the injector dropping or duplicating frames
+// — heartbeats and evictions included — on top of the link schedule: a
+// rerouted ring still evicts nobody, an isolated home is still evicted and
+// promoted, the sweep stays exact, every node the fabric still reaches ends
+// on the newest epoch, and the run replays bit-for-bit.
+struct FabricFaultCase {
+  const char* name;
+  SimOptions (*options)();
+  std::uint64_t evictions;  // expected recovery.evictions, cluster-wide
+};
+void PrintTo(const FabricFaultCase& v, std::ostream* os) { *os << v.name; }
+constexpr FabricFaultCase kFabricFaultCases[] = {
+    {"SeveredLink", SeveredLinkSimOptions, 0},
+    // Nodes 0, 1 and 2 each evict the isolated node 3 once.
+    {"IsolatedHome", IsolatedHomeSimOptions, 3},
+};
+
+class FabricFaultSimMessageFaults
+    : public testing::TestWithParam<
+          std::tuple<FabricFaultCase, MessageFaults>> {};
+
+TEST_P(FabricFaultSimMessageFaults, SweepStaysExactAndReplays) {
+  const auto& [c, faults] = GetParam();
+  SimOptions opts = c.options();
+  faults.ApplyTo(&opts);
+  SimRuntime rt(opts);
+  RegisterSweepHomedOn(rt.registry(), 3, {0, 1, 2});
+
+  const SimReport a = rt.Run("fab_main");
+  const SimReport b = rt.Run("fab_main");
+
+  EXPECT_EQ(ResultI64(a.main_result), 0);
+  EXPECT_GE(Get(a.fault_counters, faults.counter), 1u);
+  EXPECT_EQ(SumCounter(a.node_stats, "recovery.evictions"), c.evictions);
+  // Nodes 0-2 stay connected, so each ends on the newest epoch.
+  const std::uint64_t newest = NewestEpoch(a);
+  for (NodeId n = 0; n < 3; ++n) {
+    EXPECT_EQ(Get(a.node_stats[static_cast<size_t>(n)], "recovery.epoch"),
+              newest)
+        << "node " << n;
+  }
+
+  EXPECT_EQ(a.virtual_seconds, b.virtual_seconds);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.main_result, b.main_result);
+  EXPECT_EQ(a.node_stats, b.node_stats);
+  EXPECT_EQ(a.medium_counters, b.medium_counters);
+  EXPECT_EQ(a.fault_counters, b.fault_counters);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MessageFaults, FabricFaultSimMessageFaults,
+    testing::Combine(testing::ValuesIn(kFabricFaultCases),
+                     testing::ValuesIn(kMessageFaults)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) +
+             std::get<1>(info.param).name;
+    });
 
 }  // namespace
 }  // namespace dse

@@ -53,6 +53,23 @@ TEST(Addr, BlockIndexOf) {
   EXPECT_EQ(BlockIndexOf(MakeAddr(AddrKind::kNodeHomed, 0, 3000)), 2u);
 }
 
+// Epochs only increase: a duplicated or re-sent admission view (a
+// NodeJoinResp) that arrives after a later membership change must not roll
+// the joiner's view back.
+TEST(HomeMap, InstallViewNeverLowersTheEpoch) {
+  HomeMap map(4);
+  ASSERT_TRUE(map.Evict(3, 1));
+  ASSERT_TRUE(map.Admit(3, 2));
+  ASSERT_TRUE(map.Evict(2, 3));
+  map.InstallView({1, 1, 1, 1}, 2);  // the epoch-2 admission, re-delivered
+  EXPECT_EQ(map.epoch(), 3u);
+  EXPECT_FALSE(map.IsAlive(2));
+  map.InstallView({1, 1, 1, 0}, 4);
+  EXPECT_EQ(map.epoch(), 4u);
+  EXPECT_TRUE(map.IsAlive(2));
+  EXPECT_FALSE(map.IsAlive(3));
+}
+
 TEST(SplitAccess, EmptyAccess) {
   EXPECT_TRUE(SplitAccess(MakeAddr(AddrKind::kStriped, 10, 0), 0, 4).empty());
 }

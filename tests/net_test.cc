@@ -749,7 +749,9 @@ TEST(FramingFuzz, TruncatedFramesWithGarbageTails) {
     }
     FrameDecoder dec;
     const Status s = dec.Feed(stream.data(), stream.size());
-    if (!s.ok()) EXPECT_EQ(s.code(), ErrorCode::kProtocolError);
+    if (!s.ok()) {
+      EXPECT_EQ(s.code(), ErrorCode::kProtocolError);
+    }
     while (dec.Next().has_value()) {
     }
   }

@@ -24,11 +24,12 @@
 // "while X holds" are condition-triggered (a watcher thread observes the
 // precondition via counters or task-side atomics, then calls KillNode);
 // waits are poll-until-condition loops with generous deadlines; and the
-// liveness oracle (ThreadedOptions::liveness_oracle) pins suspicion to
-// injector ground truth, so CPU starvation of a heartbeat thread can delay
-// detection but never manufacture a false eviction. Frame-scheduled kills
-// remain only where the workload's own traffic pumps the injector, which
-// makes them load-independent.
+// heartbeat timeout is wide (400 ms at a 20 ms period), far beyond the
+// sender-thread stalls a parallel ctest load causes, while the monitor
+// credits its own descheduled time back — so starvation delays detection
+// rather than manufacturing a false eviction. Frame-scheduled kills remain
+// only where the workload's own traffic pumps the injector, which makes
+// them load-independent.
 //
 // The acceptance program is the red-black Gauss-Seidel sweep of
 // fault_injection_test.cc with one decisive difference: the array is homed
@@ -39,8 +40,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,6 +57,7 @@
 #include "dse/threaded_runtime.h"
 #include "net/fault.h"
 #include "platform/profile.h"
+#include "tests/message_faults.h"
 
 namespace dse {
 namespace {
@@ -304,12 +308,10 @@ ThreadedOptions RecoveryThreadedOptions(std::uint64_t kill_at) {
   o.rpc_deadline_ms = 60;
   o.rpc_max_attempts = 10;
   o.rpc_backoff_base_ms = 1;
-  // Frequent heartbeats keep the latch responsive; the liveness oracle
-  // (ThreadedOptions::liveness_oracle, on by default) makes the window safe
-  // at any load — unconfirmed silence (a CPU-starved sender thread) resets
-  // the timer instead of manufacturing a false eviction, which would be an
-  // extra concurrent node death outside the f=1-over-time contract these
-  // tests verify.
+  // Frequent heartbeats keep the latch responsive; the wide timeout keeps a
+  // CPU-starved sender thread from manufacturing a false eviction, which
+  // would be an extra concurrent node death outside the f=1-over-time
+  // contract these tests verify.
   o.heartbeat.period_ms = 20;
   o.heartbeat.timeout_ms = 400;
   o.replication = 1;
@@ -707,10 +709,9 @@ TEST(RecoveryThreaded, TwoSequentialDeathsWithReReplicationBetween) {
   // machine to starve heartbeat threads — and a false suspicion here is
   // worse than elsewhere: a false eviction of the live node mid-transfer
   // makes the second death effectively concurrent with the first, outside
-  // the f=1-over-time contract, and the image never reconverges. The
-  // liveness oracle (on by default) is what makes the standard window safe
-  // at any load: only injector-confirmed kills latch, so starved sender
-  // threads can never masquerade as a concurrent death.
+  // the f=1-over-time contract, and the image never reconverges. The wide
+  // timeout is what keeps starved sender threads from masquerading as a
+  // concurrent death.
   o.heartbeat.period_ms = 20;
   o.heartbeat.timeout_ms = 400;
   o.replication = 1;
@@ -775,7 +776,7 @@ TEST(RecoveryThreaded, SeveredMinorityParksInsteadOfForking) {
   o.rpc_max_attempts = 10;
   o.rpc_backoff_base_ms = 1;
   o.heartbeat.period_ms = 20;
-  o.heartbeat.timeout_ms = 400;  // oracle-guarded (see options above)
+  o.heartbeat.timeout_ms = 400;  // wide: see RecoveryThreadedOptions
   o.replication = 1;
   ThreadedRuntime rt(o);
 
@@ -830,7 +831,7 @@ TEST(RecoveryThreaded, SymmetricPartitionParksAndResumesAfterHeal) {
   o.rpc_max_attempts = 10;
   o.rpc_backoff_base_ms = 1;
   o.heartbeat.period_ms = 20;
-  o.heartbeat.timeout_ms = 400;  // oracle-guarded (see options above)
+  o.heartbeat.timeout_ms = 400;  // wide: see RecoveryThreadedOptions
   o.replication = 1;
   ThreadedRuntime rt(o);
 
@@ -868,7 +869,7 @@ TEST(RecoveryThreaded, EvictedNodeRejoinsAndServesAgain) {
   o.rpc_max_attempts = 10;
   o.rpc_backoff_base_ms = 1;
   o.heartbeat.period_ms = 20;
-  o.heartbeat.timeout_ms = 400;  // oracle-guarded (see options above)
+  o.heartbeat.timeout_ms = 400;  // wide: see RecoveryThreadedOptions
   o.replication = 1;
   ThreadedRuntime rt(o);
 
@@ -937,7 +938,7 @@ TEST(RecoveryThreaded, EvictedNodeRejoinsAndServesAgain) {
 // plus frame delays so the dead node's held frames exercise the DropNode
 // drain — the answer is exact and three independent runs replay
 // bit-identically (makespan, every counter, the injector's tallies).
-TEST(RecoverySim, GaussSeidelSurvivesKillAndReplaysBitIdentically) {
+SimOptions DataHomeKilledSimOptions() {
   SimOptions opts;
   opts.profile = platform::SunOsSparc();
   opts.num_processors = 4;
@@ -948,7 +949,11 @@ TEST(RecoverySim, GaussSeidelSurvivesKillAndReplaysBitIdentically) {
   opts.rpc_max_attempts = 10;
   opts.rpc_backoff_base_ms = 1;
   opts.replication = 1;
-  SimRuntime rt(opts);
+  return opts;
+}
+
+TEST(RecoverySim, GaussSeidelSurvivesKillAndReplaysBitIdentically) {
+  SimRuntime rt(DataHomeKilledSimOptions());
   RegisterGaussOnDoomed(rt.registry());
 
   const SimReport a = rt.Run("gs_main");
@@ -1017,11 +1022,15 @@ SimOptions SelfHealingSimOptions() {
 // (homing the array) dies, node 3 promotes and re-replicates to node 0,
 // then node 3 dies too — and the sweep still lands bit-for-bit on the
 // serial answer, identically across runs.
-TEST(RecoverySim, TwoSequentialDeathsBitForBit) {
+SimOptions TwoSequentialDeathsSimOptions() {
   SimOptions opts = SelfHealingSimOptions();
   opts.fault_plan.kills.push_back({2, 400});
   opts.fault_plan.kills.push_back({3, 650});
-  SimRuntime rt(opts);
+  return opts;
+}
+
+TEST(RecoverySim, TwoSequentialDeathsBitForBit) {
+  SimRuntime rt(TwoSequentialDeathsSimOptions());
   RegisterGaussHomedOn(rt.registry(), 2, {0, 1, 0});
 
   const SimReport a = rt.Run("gs_main");
@@ -1043,12 +1052,16 @@ TEST(RecoverySim, TwoSequentialDeathsBitForBit) {
 // Deterministic minority-park: node 3 is severed from everyone from frame
 // zero and never healed. The {0,1,2} side holds a quorum and evicts it;
 // node 3 itself parks and applies no eviction of its own.
-TEST(RecoverySim, SeveredMinorityParksDeterministically) {
+SimOptions SeveredMinoritySimOptions() {
   SimOptions opts = SelfHealingSimOptions();
   for (NodeId n = 0; n < 3; ++n) {
     opts.fault_plan.severs.push_back({3, n, 0, -1});
   }
-  SimRuntime rt(opts);
+  return opts;
+}
+
+TEST(RecoverySim, SeveredMinorityParksDeterministically) {
+  SimRuntime rt(SeveredMinoritySimOptions());
   RegisterGaussHomedOn(rt.registry(), 1, {0, 1, 2});
 
   const SimReport a = rt.Run("gs_main");
@@ -1151,6 +1164,73 @@ TEST(RecoverySim, ChaosSoakMatchesFaultFreeBitForBit) {
     EXPECT_EQ(a.messages, b.messages) << "seed " << seed;
   }
 }
+
+// --- Message faults on the membership verbs ---------------------------------
+
+// The simulator's membership runs on real Heartbeat, EvictReq and
+// NodeJoinReq frames, so the injector's message faults reach it like any
+// other traffic. Each recovery case above runs again with frames dropped or
+// duplicated on top of its own schedule: the sweep must still land exactly
+// (every acked write survived), every member still standing must end on the
+// cluster's newest epoch, and two runs must replay bit-for-bit.
+struct SimRecoveryCase {
+  const char* name;
+  SimOptions (*options)();
+  void (*program)(TaskRegistry&);
+  std::vector<NodeId> standing;  // members at the end of the run
+};
+void PrintTo(const SimRecoveryCase& v, std::ostream* os) { *os << v.name; }
+const SimRecoveryCase kSimRecoveryCases[] = {
+    {"DataHomeKilled", DataHomeKilledSimOptions, RegisterGaussOnDoomed,
+     {0, 1, 2}},
+    {"TwoSequentialDeaths", TwoSequentialDeathsSimOptions,
+     [](TaskRegistry& r) { RegisterGaussHomedOn(r, 2, {0, 1, 0}); },
+     {0, 1}},
+    {"SeveredMinority", SeveredMinoritySimOptions,
+     [](TaskRegistry& r) { RegisterGaussHomedOn(r, 1, {0, 1, 2}); },
+     {0, 1, 2}},
+};
+
+class RecoverySimMessageFaults
+    : public testing::TestWithParam<
+          std::tuple<SimRecoveryCase, MessageFaults>> {};
+
+TEST_P(RecoverySimMessageFaults, AckedWritesSurviveAndReplay) {
+  const auto& [c, faults] = GetParam();
+  SimOptions opts = c.options();
+  faults.ApplyTo(&opts);
+  SimRuntime rt(opts);
+  c.program(rt.registry());
+
+  const SimReport a = rt.Run("gs_main");
+  const SimReport b = rt.Run("gs_main");
+
+  EXPECT_EQ(ResultI64(a.main_result), 0);
+  EXPECT_GE(Get(a.fault_counters, faults.counter), 1u);
+  EXPECT_GE(SumCounter(a.node_stats, "recovery.evictions"), 1u);
+  const std::uint64_t newest = NewestEpoch(a);
+  EXPECT_GE(newest, 1u);
+  for (const NodeId n : c.standing) {
+    EXPECT_EQ(Get(a.node_stats[static_cast<size_t>(n)], "recovery.epoch"),
+              newest)
+        << "node " << n;
+  }
+
+  EXPECT_EQ(a.virtual_seconds, b.virtual_seconds);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.main_result, b.main_result);
+  EXPECT_EQ(a.node_stats, b.node_stats);
+  EXPECT_EQ(a.fault_counters, b.fault_counters);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MessageFaults, RecoverySimMessageFaults,
+    testing::Combine(testing::ValuesIn(kSimRecoveryCases),
+                     testing::ValuesIn(kMessageFaults)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) +
+             std::get<1>(info.param).name;
+    });
 
 // --- Serving front door under faults ----------------------------------------
 

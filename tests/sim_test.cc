@@ -218,7 +218,9 @@ TEST(Simulator, DeterministicReplay) {
     Channel<int> ch(&sim);
     std::vector<SimTime> times;
     for (int i = 0; i < 3; ++i) {
-      sim.Spawn("w" + std::to_string(i), [&, i](Context& ctx) {
+      std::string name = "w";
+      name += std::to_string(i);
+      sim.Spawn(name, [&, i](Context& ctx) {
         ctx.Sleep(Millis(i + 1));
         ch.Push(i);
         ctx.Sleep(Millis(10));

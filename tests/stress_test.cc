@@ -18,7 +18,9 @@ TEST(StressSim, HundredProcessesInterleave) {
   sim::Channel<int> funnel(&sim);
   const int kProcs = 100;
   for (int i = 0; i < kProcs; ++i) {
-    sim.Spawn("p" + std::to_string(i), [&funnel, i](sim::Context& ctx) {
+    std::string name = "p";
+    name += std::to_string(i);
+    sim.Spawn(name, [&funnel, i](sim::Context& ctx) {
       ctx.Sleep(sim::Micros((i * 37) % 997));
       funnel.Push(i);
       ctx.Sleep(sim::Micros((i * 11) % 101));

@@ -75,19 +75,21 @@ TEST(TraceIntegration, SimRunProducesOrderedTimeline) {
     EXPECT_GE(rec.events()[i].at, rec.events()[i - 1].at);
   }
   // The timeline contains both task lifetimes and kernel messages.
-  int starts = 0, exits = 0, sends = 0, handles = 0;
+  int starts = 0, exits = 0, sends = 0, handles = 0, counters = 0;
   for (const Event& e : rec.events()) {
     switch (e.kind) {
       case EventKind::kTaskStart: ++starts; break;
       case EventKind::kTaskExit: ++exits; break;
       case EventKind::kSend: ++sends; break;
       case EventKind::kHandle: ++handles; break;
+      case EventKind::kCounter: ++counters; break;
     }
   }
   EXPECT_EQ(starts, 2);  // main + worker
   EXPECT_EQ(exits, 2);
   EXPECT_GT(sends, 0);
   EXPECT_GT(handles, 0);
+  EXPECT_GT(counters, 0);  // the final per-node counter samples
   // Spawn appears before the worker's start.
   const auto spawn_send = std::find_if(
       rec.events().begin(), rec.events().end(), [](const Event& e) {

@@ -75,6 +75,7 @@
 //   --stats-csv [FILE]       same data as CSV long format
 //   --ps                     cluster-wide process listing after the run
 //   --list-tasks             print the workload's registered task names
+#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -126,13 +127,29 @@ class Flags {
     const auto it = values_.find(key);
     return it == values_.end() ? def : it->second;
   }
+  // Integer/number flag `key`, or `def` when absent. Exits 2 unless the
+  // whole value parses: "--key must be an integer (got '<value>')".
   int Int(const std::string& key, int def) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? def : std::atoi(it->second.c_str());
+    if (it == values_.end()) return def;
+    long parsed = 0;
+    if (!ParseLong(it->second, &parsed) || parsed < INT_MIN ||
+        parsed > INT_MAX) {
+      Reject(key, "an integer");
+    }
+    return static_cast<int>(parsed);
   }
   double Double(const std::string& key, double def) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? def : std::atof(it->second.c_str());
+    if (it == values_.end()) return def;
+    const std::string& raw = it->second;
+    char* end = nullptr;
+    errno = 0;
+    const double parsed = std::strtod(raw.c_str(), &end);
+    if (raw.empty() || *end != '\0' || errno == ERANGE) {
+      Reject(key, "a number");
+    }
+    return parsed;
   }
 
   // Reads integer flag `key` into *out when it was given. Exits 2 unless the
@@ -142,15 +159,18 @@ class Flags {
                   const char* must_be, int* out, const char* note = "") const {
     const auto it = values_.find(key);
     if (it == values_.end()) return;
-    const std::string& raw = it->second;
-    char* end = nullptr;
-    const long parsed = std::strtol(raw.c_str(), &end, 10);
-    if (raw.empty() || *end != '\0' || parsed < lo || parsed > hi) {
-      std::fprintf(stderr, "--%s must be %s (got '%s'%s)\n", key.c_str(),
-                   must_be, raw.c_str(), note);
-      std::exit(2);
+    long parsed = 0;
+    if (!ParseLong(it->second, &parsed) || parsed < lo || parsed > hi) {
+      Reject(key, must_be, note);
     }
     *out = static_cast<int>(parsed);
+  }
+
+  [[noreturn]] void Reject(const std::string& key, const char* must_be,
+                           const char* note = "") const {
+    std::fprintf(stderr, "--%s must be %s (got '%s'%s)\n", key.c_str(),
+                 must_be, values_.at(key).c_str(), note);
+    std::exit(2);
   }
 
   // Fails with a list of every flag this invocation does not understand —
@@ -177,6 +197,14 @@ class Flags {
   }
 
  private:
+  // Parses all of `raw` as a base-10 integer.
+  static bool ParseLong(const std::string& raw, long* out) {
+    char* end = nullptr;
+    errno = 0;
+    *out = std::strtol(raw.c_str(), &end, 10);
+    return !raw.empty() && *end == '\0' && errno != ERANGE;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
