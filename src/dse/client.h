@@ -32,7 +32,8 @@ namespace dse {
 struct CallPolicy {
   int deadline_ms = 0;      // per-attempt wait; 0 = block forever
   int max_attempts = 1;     // total sends (1 = no retry)
-  int backoff_base_ms = 5;  // sleep base between attempts: base, 2x, 4x, ...
+  // Sleep base between attempts: base, 2x, 4x, ... (0 = resend at once).
+  int backoff_base_ms = 5;
 };
 
 // Backend-provided blocking message channel for one task.

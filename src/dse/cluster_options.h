@@ -41,7 +41,7 @@ struct ClusterOptions {
   // simulator the deadline is virtual time.
   int rpc_deadline_ms = 10000;
   int rpc_max_attempts = 3;
-  int rpc_backoff_base_ms = 5;  // exponential: base, 2x, 4x, ...
+  int rpc_backoff_base_ms = 5;  // exponential: base, 2x, 4x, ... (0: none)
   // Recovery subsystem (docs/recovery.md): replication factor for GMM home
   // state. 0 disables recovery entirely (a dead node's state is lost); 1
   // gives each home a backup at the next live ring successor — mutating

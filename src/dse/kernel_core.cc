@@ -145,15 +145,18 @@ NodeId KernelCore::CoordinatorView() const {
   return home_map_.Coordinator();
 }
 
-NodeId KernelCore::LastEvicted() const {
+proto::Envelope KernelCore::LastChange() const {
   std::lock_guard<std::mutex> lock(route_mu_);
-  return home_map_.last_evicted();
-}
-
-std::optional<proto::Envelope> KernelCore::LastAdmission() const {
-  std::lock_guard<std::mutex> lock(route_mu_);
-  if (home_map_.last_admitted() < 0) return std::nullopt;
-  return MakeAdmission(home_map_.last_admitted(), home_map_.epoch());
+  const std::uint32_t epoch = home_map_.epoch();
+  if (home_map_.last_admitted() >= 0) {
+    return MakeAdmission(home_map_.last_admitted(), epoch);
+  }
+  proto::Envelope env;
+  env.req_id = 0;
+  env.src_node = self_;
+  env.epoch = epoch;
+  env.body = proto::EvictReq{home_map_.last_evicted(), epoch};
+  return env;
 }
 
 KernelCore::Actions KernelCore::Handle(const proto::Envelope& env) {
@@ -228,12 +231,9 @@ KernelCore::Actions KernelCore::Handle(const proto::Envelope& env) {
     if (env.req_id != 0) {
       actions.out.push_back(Outgoing{env.src_node, MakeRetryResp(env)});
     }
-    // A lagging sender adopts a missed eviction from the RetryResp; a missed
-    // admission does not fit in one, so it goes along whole.
+    // A lagging sender also gets the change it missed.
     if (env.epoch < epoch()) {
-      if (auto admission = LastAdmission()) {
-        actions.out.push_back(Outgoing{env.src_node, std::move(*admission)});
-      }
+      actions.out.push_back(Outgoing{env.src_node, LastChange()});
     }
     return actions;
   }

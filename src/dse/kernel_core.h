@@ -34,7 +34,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -149,10 +148,10 @@ class KernelCore {
   NodeId RouteOf(NodeId natural) const;
   bool NodeAlive(NodeId node) const;
   NodeId CoordinatorView() const;
-  NodeId LastEvicted() const;
-  // When the last membership change here was an admission: that admission
-  // (a NodeJoinResp with this node's full view), for a peer that missed it.
-  std::optional<proto::Envelope> LastAdmission() const;
+  // The last membership change here, as the frame that repairs a peer that
+  // missed it: the admission whole (a NodeJoinResp with this node's full
+  // view), or the EvictReq. Call only past epoch 0.
+  proto::Envelope LastChange() const;
 
   // Applies an eviction locally (coordinator self-apply and push-repair
   // paths; EvictReq frames funnel here too). Caller serializes like Handle.

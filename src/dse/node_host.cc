@@ -520,10 +520,12 @@ Result<proto::Envelope> NodeHost::AwaitWithRetry(NodeId dst,
     }
     ++attempt;
     rpc_retries_->Add();
-    const int base = std::max(1, policy.backoff_base_ms);
-    const int backoff =
-        std::min(1000, base << std::min(attempt - 1, 10));
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
+    // Base 0: the deadline alone paces the resends.
+    const int base = policy.backoff_base_ms;
+    if (base > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          std::min(1000, base << std::min(attempt - 1, 10))));
+    }
     // Resend the SAME req_id; the home's at-most-once cache absorbs the
     // duplicate if the original made it and only the response was lost.
     // Re-resolve the destination: the home may have failed over since.
@@ -627,6 +629,7 @@ Status NodeHost::SendEnvelope(NodeId dst, const proto::Envelope& env) {
   if (s.ok()) {
     core_.CountSent(env.type());
     core_.CountWireSent(bytes);
+    if (membership_.period_ms() > 0) membership_.NoteSent(dst, NowMs());
   }
   return s;
 }

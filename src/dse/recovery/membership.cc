@@ -12,6 +12,7 @@ Membership::Membership(KernelCore* core, Options options, std::mutex* core_mu)
       core_mu_(core_mu),
       nodes_dead_(core->metrics().counter("node.dead")),
       last_heard_ms_(static_cast<size_t>(core->num_nodes())),
+      last_sent_ms_(static_cast<size_t>(core->num_nodes())),
       suspected_(static_cast<size_t>(core->num_nodes())),
       drain_initiated_(static_cast<size_t>(core->num_nodes())) {}
 
@@ -23,6 +24,9 @@ std::unique_lock<std::mutex> Membership::LockCore() {
 void Membership::Start(std::int64_t now_ms) {
   for (auto& stamp : last_heard_ms_) {
     stamp.store(now_ms, std::memory_order_relaxed);
+  }
+  for (auto& stamp : last_sent_ms_) {
+    stamp.store(now_ms - options_.period_ms, std::memory_order_relaxed);
   }
   last_tick_ms_ = now_ms;
 }
@@ -62,23 +66,51 @@ Membership::Actions Membership::Tick(std::int64_t now_ms) {
   // on any of them. A partition severs several links at once; evicting the
   // first silent peer while the others still look reachable would let a
   // minority side pass the quorum check it should fail.
-  std::vector<NodeId> newly_silent;
+  std::vector<bool> silent(static_cast<size_t>(num_nodes()), false);
   for (NodeId n = 0; n < num_nodes(); ++n) {
     if (n == self() || Suspected(n)) continue;
     if (now_ms - last_heard_ms_[static_cast<size_t>(n)].load(
                      std::memory_order_relaxed) >
         options_.timeout_ms) {
       Latch(n, "heartbeat timeout", &out);
-      newly_silent.push_back(n);
+      silent[static_cast<size_t>(n)] = true;
     }
   }
-  for (const NodeId n : newly_silent) Evict(n, 0, "heartbeat timeout", &out);
+  for (NodeId n = 0; n < num_nodes(); ++n) {
+    if (silent[static_cast<size_t>(n)]) Evict(n, 0, "heartbeat timeout", &out);
+  }
+  // A member still suspected from an earlier quorum park gets a fresh
+  // detection window once a quorum is reachable again: heard within it, it
+  // stays; silent through it, it times out and is evicted under that
+  // quorum. Evicting it at once would race a healing partition, whose
+  // first frames arrive one peer at a time. (Not mid-rejoin: the admission
+  // replaces the whole view.)
+  if (repl && !joining_.load(std::memory_order_relaxed) &&
+      Reachable() >= core_->QuorumRequired()) {
+    for (NodeId n = 0; n < num_nodes(); ++n) {
+      if (n == self() || silent[static_cast<size_t>(n)] || !Suspected(n) ||
+          !core_->NodeAlive(n)) {
+        continue;
+      }
+      suspected_[static_cast<size_t>(n)].store(false,
+                                               std::memory_order_relaxed);
+      last_heard_ms_[static_cast<size_t>(n)].store(now_ms,
+                                                   std::memory_order_relaxed);
+    }
+  }
   for (NodeId n = 0; n < num_nodes(); ++n) {
     if (n == self()) continue;
     // Keep probing a suspected peer that is still a member (we may be
     // quorum-parked on the minority side of a partition): when the
     // partition heals, the probes revoke the suspicion on both sides.
     if (Suspected(n) && (!repl || !core_->NodeAlive(n))) continue;
+    // Any frame proves liveness: a peer sent something this period needs
+    // no probe.
+    if (now_ms - last_sent_ms_[static_cast<size_t>(n)].load(
+                     std::memory_order_relaxed) <
+        options_.period_ms) {
+      continue;
+    }
     Send(n, 0, proto::Heartbeat{}, &out);  // a lost probe is a silent period
   }
   if (!repl) return out;
@@ -113,7 +145,11 @@ Membership::Actions Membership::Tick(std::int64_t now_ms) {
       }
       if (ready) {
         Evict(d, core_->epoch() + 1, "drain cutover", &out);
-      } else if (!draining && options_.drain_requested &&
+      } else if (draining) {
+        // Until the target reports ready, repeat its DrainReq: a lost one
+        // would leave it serving forever (it ignores duplicates).
+        Send(d, core_->epoch(), proto::DrainReq{d, core_->epoch()}, &out);
+      } else if (options_.drain_requested &&
                  options_.drain_requested(d) &&
                  !drain_initiated_[static_cast<size_t>(d)].exchange(
                      true, std::memory_order_relaxed)) {
@@ -209,13 +245,8 @@ Membership::Actions Membership::OnRetrySignal(NodeId responder,
     Evict(rr.evicted, rr.epoch, "epoch gossip", &out);
   } else if (rr.epoch < local) {
     // The responder lags (it missed our last change): push-repair it.
-    if (auto admission = core_->LastAdmission()) {
-      out.kernel.out.push_back(
-          KernelCore::Outgoing{responder, std::move(*admission)});
-    } else {
-      Send(responder, local, proto::EvictReq{core_->LastEvicted(), local},
-           &out);
-    }
+    out.kernel.out.push_back(
+        KernelCore::Outgoing{responder, core_->LastChange()});
   }
   return out;
 }
@@ -254,22 +285,36 @@ void Membership::Latch(NodeId node, const char* why, Actions* out) {
   }
 }
 
+int Membership::Reachable() const {
+  int reachable = 0;
+  for (NodeId n = 0; n < num_nodes(); ++n) {
+    if (!core_->NodeAlive(n)) continue;
+    if (n == self() ||
+        (!Suspected(n) &&
+         last_tick_ms_ - last_heard_ms_[static_cast<size_t>(n)].load(
+                             std::memory_order_relaxed) <=
+             options_.timeout_ms / 2)) {
+      ++reachable;
+    }
+  }
+  return reachable;
+}
+
 void Membership::Evict(NodeId node, std::uint32_t epoch, const char* why,
                        Actions* out) {
   if (node < 0 || node >= num_nodes() || node == self()) return;
   Latch(node, why, out);
   if (!core_->replication_on() || !core_->NodeAlive(node)) return;
   // Quorum guard: a locally detected eviction (no epoch from a peer backing
-  // it) needs a reachable strict majority (or --min-quorum), counting every
-  // current member we do not suspect, ourselves included. Below the bar we
-  // park: the suspicion stays latched, calls fail over and retry, and no
-  // membership change happens until the partition heals or a quorum-held
-  // eviction reaches us by gossip.
+  // it) needs a reachable strict majority (or --min-quorum), counting
+  // ourselves and every current member heard within half a timeout. A peer
+  // not yet suspected but silent that long is about to time out too (a
+  // partition's timeouts can land a tick or two apart), so it does not
+  // count. Below the bar we park: the suspicion stays latched, calls fail
+  // over and retry, and no membership change happens until enough peers
+  // are heard again or a quorum-held eviction reaches us by gossip.
   if (epoch == 0) {
-    int reachable = 0;
-    for (NodeId n = 0; n < num_nodes(); ++n) {
-      if (core_->NodeAlive(n) && (n == self() || !Suspected(n))) ++reachable;
-    }
+    const int reachable = Reachable();
     if (reachable < core_->QuorumRequired()) {
       if (!parked_.exchange(true, std::memory_order_relaxed)) {
         core_->NoteQuorumPark();

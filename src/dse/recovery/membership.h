@@ -23,13 +23,14 @@
 namespace dse {
 
 // Liveness probing, spelled the same on every runtime: every period the node
-// heartbeats its peers and declares any peer silent past the timeout dead
-// (failing that peer's in-flight calls with kUnavailable and refusing new
-// sends to it).
+// heartbeats each peer it sent no other frame to in that period, and
+// declares any peer silent past the timeout dead (failing that peer's
+// in-flight calls with kUnavailable and refusing new sends to it).
 struct HeartbeatOptions {
-  // Positive = period in ms; 0 = auto: 50 ms on a lossy fabric (a fault
+  // Positive = period in ms; 0 = auto: 25 ms on a lossy fabric (a fault
   // plan is active), so crashed peers are detected rather than waited on
-  // forever, and off otherwise; negative = off.
+  // forever, and off otherwise; negative = off. Busy links carry no
+  // heartbeats, so the short period costs frames only on idle ones.
   int period_ms = 0;
   // 0 = 5x the period.
   int timeout_ms = 0;
@@ -37,7 +38,7 @@ struct HeartbeatOptions {
   // The period the prober runs at; 0 means no prober.
   int EffectivePeriodMs(bool lossy) const {
     if (period_ms > 0) return period_ms;
-    return period_ms == 0 && lossy ? 50 : 0;
+    return period_ms == 0 && lossy ? 25 : 0;
   }
   int EffectiveTimeoutMs(int period) const {
     return timeout_ms > 0 ? timeout_ms : 5 * period;
@@ -89,6 +90,14 @@ class Membership {
           now_ms, std::memory_order_relaxed);
     }
   }
+  // Per-send path (lock-free): a frame to `dst` stands in for this
+  // period's heartbeat to it.
+  void NoteSent(NodeId dst, std::int64_t now_ms) {
+    if (dst >= 0 && dst < static_cast<NodeId>(last_sent_ms_.size())) {
+      last_sent_ms_[static_cast<size_t>(dst)].store(
+          now_ms, std::memory_order_relaxed);
+    }
+  }
   // True once `peer` is suspected dead (lock-free).
   bool Suspected(NodeId peer) const {
     return peer >= 0 && peer < static_cast<NodeId>(suspected_.size()) &&
@@ -109,7 +118,8 @@ class Membership {
   Actions OnFrame(const proto::Envelope& env, std::int64_t now_ms);
 
   // A kRetryResp epoch bounce from `responder`: adopt its eviction if it is
-  // ahead, push-repair it with an EvictReq if it lags.
+  // ahead, push-repair it with our last change (KernelCore::LastChange) if
+  // it lags.
   Actions OnRetrySignal(NodeId responder, const proto::RetryResp& rr);
 
   // Planned drain admin verb: applies DrainReq{node} locally and broadcasts
@@ -125,6 +135,9 @@ class Membership {
   // quorum of the current members is reachable; below it the node parks.
   // The coordinator announces every eviction it applies.
   void Evict(NodeId node, std::uint32_t epoch, const char* why, Actions* out);
+  // Current members counted toward the quorum: this node, and every peer
+  // not suspected and heard within half a timeout of the latest tick.
+  int Reachable() const;
   // The coordinator's EvictReq{evicted, evict_epoch} to every live member,
   // and with rejoin on to the evicted node too.
   void Announce(NodeId evicted, std::uint32_t evict_epoch, Actions* out);
@@ -142,6 +155,8 @@ class Membership {
   // latches once n is declared — but with replication on, a frame from a
   // suspected peer that is still a member revokes the suspicion (heal).
   std::vector<std::atomic<std::int64_t>> last_heard_ms_;
+  // last_sent_ms_[n]: the last time this node sent n a frame.
+  std::vector<std::atomic<std::int64_t>> last_sent_ms_;
   std::vector<std::atomic<bool>> suspected_;
   // One latch per peer for drain_requested: the trigger stays true after
   // the node drained and rejoined, so without it the coordinator would
@@ -152,7 +167,7 @@ class Membership {
   std::atomic<bool> parked_{false};
   std::atomic<bool> joining_{false};
   std::atomic<NodeId> join_to_{-1};  // the announcer of our eviction
-  std::int64_t last_tick_ms_ = 0;  // Tick only
+  std::int64_t last_tick_ms_ = 0;  // the clock of the latest Tick
 };
 
 }  // namespace recovery

@@ -202,7 +202,11 @@ void SimState::Deliver(NodeId src, NodeId dst, proto::Envelope env,
 void ChargeAndSend(sim::Context& ctx, SimState& state, NodeId src, NodeId dst,
                    proto::Envelope env) {
   const std::uint64_t bytes = proto::Encode(env).size();
-  KernelCore& src_core = state.nodes[static_cast<size_t>(src)]->core;
+  SimNode& src_node = *state.nodes[static_cast<size_t>(src)];
+  KernelCore& src_core = src_node.core;
+  if (src_node.membership != nullptr) {
+    src_node.membership->NoteSent(dst, NowMs(ctx));
+  }
   src_core.CountSent(env.type());
   src_core.CountWireSent(bytes);
   const int k = state.KernelsOf(src);
@@ -341,12 +345,14 @@ class SimRpc final : public RpcChannel {
                          std::to_string(max_attempts) + " attempt(s)");
         }
       }
-      // Back off in virtual time, then resend the SAME req_ids (the home's
-      // at-most-once cache absorbs duplicates).
-      const int base = std::max(1, policy.backoff_base_ms);
-      const int backoff =
-          std::min(1000, base << std::min(worst_attempt - 1, 10));
-      ctx_->Sleep(sim::Millis(backoff));
+      // Back off in virtual time (base 0: the deadline alone paces the
+      // resends), then resend the SAME req_ids (the home's at-most-once
+      // cache absorbs duplicates).
+      const int base = policy.backoff_base_ms;
+      if (base > 0) {
+        ctx_->Sleep(sim::Millis(
+            std::min(1000, base << std::min(worst_attempt - 1, 10))));
+      }
       for (Slot& s : slots) {
         if (s.done) continue;
         ++s.attempts;

@@ -118,7 +118,7 @@ TEST(ClusterOptions, LossyFabricNeedsFiniteDeadline) {
 TEST(ClusterOptions, HeartbeatZeroMeansAutoNegativeMeansOff) {
   HeartbeatOptions hb;
   EXPECT_EQ(hb.EffectivePeriodMs(/*lossy=*/false), 0);
-  EXPECT_EQ(hb.EffectivePeriodMs(/*lossy=*/true), 50);
+  EXPECT_EQ(hb.EffectivePeriodMs(/*lossy=*/true), 25);
   hb.period_ms = -1;
   EXPECT_EQ(hb.EffectivePeriodMs(/*lossy=*/true), 0);
   hb.period_ms = 20;

@@ -28,6 +28,7 @@
 #include "common/status.h"
 #include "dse/sim_runtime.h"
 #include "dse/threaded_runtime.h"
+#include "dse/trace.h"
 #include "net/fault.h"
 #include "platform/profile.h"
 
@@ -600,6 +601,43 @@ TEST(FaultSim, SeveredLinkTimesOutInVirtualTime) {
   // Two 50 ms attempts elapsed on the virtual clock.
   EXPECT_GE(report.virtual_seconds, 0.1);
   EXPECT_GE(SumCounter(report.node_stats, "rpc.timeout"), 2u);
+}
+
+// A synchronizing call on a lossy fabric resends on the RPC deadline with
+// no backoff between attempts (SyncPolicy's base 0), so a join that waits
+// out a long task returns within about one deadline of the task's exit —
+// not up to a second later, as an exponential backoff grown during the
+// wait would have it.
+TEST(FaultSim, JoinReturnsWithinOneDeadlineOfTheTasksExit) {
+  SimOptions opts;
+  opts.profile = platform::SunOsSparc();
+  opts.num_processors = 2;
+  opts.fault_plan.seed = 3;
+  opts.fault_plan.kills.push_back({1, 1'000'000, -1});  // lossy; never fires
+  opts.rpc_deadline_ms = 20;
+  opts.rpc_max_attempts = 3;
+  opts.rpc_backoff_base_ms = 1;
+  trace::Recorder recorder;
+  opts.trace = &recorder;
+  SimRuntime rt(opts);
+
+  rt.registry().Register("long", [](Task& t) { t.Compute(2e7); });
+  rt.registry().Register("main", [](Task& t) {
+    auto gpid = t.Spawn("long", {}, 1);
+    ASSERT_TRUE(gpid.ok());
+    ASSERT_TRUE(t.Join(*gpid).ok());
+  });
+
+  const SimReport report = rt.Run("main");
+  double long_exit = -1;
+  for (const trace::Event& e : recorder.events()) {
+    if (e.kind == trace::EventKind::kTaskExit && e.label == "long") {
+      long_exit = sim::ToSeconds(e.at);
+    }
+  }
+  ASSERT_GT(long_exit, 0.5) << "the task must outlast many deadlines";
+  EXPECT_GE(SumCounter(report.node_stats, "rpc.retry"), 10u);
+  EXPECT_LE(report.virtual_seconds - long_exit, 0.025);
 }
 
 }  // namespace

@@ -104,6 +104,80 @@ TEST(Membership, PartitionMinorityLatchesEverySilentPeerThenParks) {
   EXPECT_TRUE(node.membership.Suspected(3));
 }
 
+// Node 0 is cut off from everyone, but its peers fall silent a tick apart
+// (node 1 last heard at 0, node 2 at 50, node 3 at 100), so they time out
+// on successive ticks. When node 1 times out, nodes 2 and 3 are not yet
+// suspected but have been silent for more than half a timeout: they do not
+// count as reachable, so node 0 parks instead of evicting node 1 alone.
+// Once nodes 2 and 3 are heard again the quorum is back, and node 1 gets a
+// fresh detection window: silent through it, it is evicted.
+TEST(Membership, StaggeredTimeoutsStillPark) {
+  Node node(0, 4);
+  node.membership.NoteHeard(1, 0);
+  node.membership.NoteHeard(2, kPeriodMs);
+  node.membership.NoteHeard(3, 2 * kPeriodMs);
+  Membership::Actions a = TickUntil(node, kPeriodMs, kTimeoutMs, {});
+  EXPECT_TRUE(a.dead.empty());
+  a = TickUntil(node, kTimeoutMs + kPeriodMs, kTimeoutMs + kPeriodMs, {});
+  EXPECT_EQ(a.dead, (std::vector<NodeId>{1}));
+  EXPECT_EQ(Counter(node.core, "recovery.quorum_parks"), 1u);
+  a = TickUntil(node, kTimeoutMs + 2 * kPeriodMs, kTimeoutMs + 3 * kPeriodMs,
+                {});
+  EXPECT_EQ(a.dead, (std::vector<NodeId>{3}));
+  EXPECT_EQ(node.core.epoch(), 0u);
+  for (NodeId n = 1; n < 4; ++n) EXPECT_TRUE(node.core.NodeAlive(n));
+  EXPECT_TRUE(SentTo(a, proto::MsgType::kEvictReq).empty());
+  EXPECT_EQ(Counter(node.core, "recovery.quorum_parks"), 1u);
+
+  // Nodes 2 and 3 come back; node 1 stays silent.
+  const std::int64_t heal = kTimeoutMs + 4 * kPeriodMs;
+  node.membership.OnFrame(From(2, 0, proto::Heartbeat{}), heal);
+  node.membership.OnFrame(From(3, 0, proto::Heartbeat{}), heal);
+  a = TickUntil(node, heal, heal + kTimeoutMs, {2, 3});
+  EXPECT_FALSE(node.membership.Suspected(1));
+  EXPECT_TRUE(a.dead.empty());
+  EXPECT_EQ(node.core.epoch(), 0u);
+  a = TickUntil(node, heal + kTimeoutMs + kPeriodMs,
+                heal + kTimeoutMs + kPeriodMs, {2, 3});
+  EXPECT_EQ(a.dead, (std::vector<NodeId>{1}));
+  EXPECT_EQ(node.core.epoch(), 1u);
+  EXPECT_FALSE(node.core.NodeAlive(1));
+  EXPECT_TRUE(node.core.NodeAlive(2));
+  EXPECT_TRUE(node.core.NodeAlive(3));
+  const std::vector<NodeId> evicts = SentTo(a, proto::MsgType::kEvictReq);
+  EXPECT_EQ(std::count(evicts.begin(), evicts.end(), 2), 2);  // announce +
+  EXPECT_EQ(std::count(evicts.begin(), evicts.end(), 3), 2);  // re-announce
+}
+
+// A frame already sent to a peer this period stands in for its heartbeat:
+// busy links carry no probes.
+TEST(Membership, FrameSentThisPeriodReplacesTheHeartbeat) {
+  Node node(0, 3);
+  node.membership.NoteSent(1, kPeriodMs - 1);
+  Membership::Actions a = TickUntil(node, kPeriodMs, kPeriodMs, {1, 2});
+  EXPECT_EQ(SentTo(a, proto::MsgType::kHeartbeat), (std::vector<NodeId>{2}));
+  // A period later the stamp is stale again and node 1 is probed.
+  a = TickUntil(node, 2 * kPeriodMs, 2 * kPeriodMs, {1, 2});
+  EXPECT_EQ(SentTo(a, proto::MsgType::kHeartbeat),
+            (std::vector<NodeId>{1, 2}));
+}
+
+// A planned drain's DrainReq can be lost. The coordinator repeats it to the
+// target every tick until the target reports ready for cutover, so the
+// drain cannot stall (the target ignores duplicates).
+TEST(Membership, CoordinatorRepeatsDrainReqUntilTheTargetIsReady) {
+  Node coord(0, 4);
+  Membership::Actions a = coord.membership.Drain(2);
+  EXPECT_EQ(SentTo(a, proto::MsgType::kDrainReq),
+            (std::vector<NodeId>{1, 2, 3}));
+  ASSERT_TRUE(coord.core.NodeDraining(2));
+  for (std::int64_t t = kPeriodMs; t <= 3 * kPeriodMs; t += kPeriodMs) {
+    a = TickUntil(coord, t, t, {1, 2, 3});
+    EXPECT_EQ(SentTo(a, proto::MsgType::kDrainReq), (std::vector<NodeId>{2}))
+        << "t=" << t;
+  }
+}
+
 // The other side of a 5-node partition {0,1,2} | {3,4}: node 0, the
 // coordinator, holds 3 of 5 and evicts both silent peers, announcing each
 // eviction to the survivors (and, with rejoin on, to the evicted node).
